@@ -67,8 +67,6 @@ def _document(command: str, inputs: dict, results: dict, status: str, diagnostic
 
 def _emit(doc: dict, fmt: str, out) -> None:
     if fmt == "json":
-        if doc.get("_timestamps") is None:
-            doc.pop("_timestamps", None)
         json.dump(doc, out, indent=1, sort_keys=True)
         out.write("\n")
     elif fmt == "csv":
@@ -109,6 +107,8 @@ def cmd_an(args, out) -> int:
 
 
 def cmd_exponents(args, out) -> int:
+    if args.order < 3:
+        raise ValueError(f"exponents needs --order >= 3, got {args.order}")
     curve = curve_from_quintuple(_parse_quintuple(args.curve))
     series = an_expansion(curve, args.order)
     g = extract_exponents(series)

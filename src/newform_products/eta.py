@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .products import _logder_coefficients
 from .qseries import (
     FracSeries,
     PowerSeries,
@@ -79,18 +80,7 @@ def eta_signed(t: int, sign: int, order: int) -> FracSeries:
     The 24th-root-of-unity ambiguity of (-q^t)^(1/24) is resolved by keeping
     the positive-branch prefactor; the theta-identity checks pin this choice.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +-1")
-    if sign == 1:
-        inner = euler_product(order)
-    else:
-        inner = PowerSeries.one(order)
-        for n in range(1, order):
-            # factor 1 - (-1)^n q^n
-            c = -1 if n % 2 == 0 else 1
-            inner = inner * PowerSeries.from_terms({0: 1, n: c}, order)
-    scaled = inner.subst_monomial(1, t)
-    return FracSeries.make(24, t, scaled.subst_monomial(1, 24))
+    return FracSeries.make(24, t, euler_product(order).subst_monomial(sign, 24 * t))
 
 
 def eta_quotient_series(eq: EtaQuotient, order: int) -> FracSeries:
@@ -121,9 +111,9 @@ def verify_e2_identity(order: int) -> bool:
     """Check q (d eta / dq) / eta = E2 to the given order.
 
     The fractional prefactor q^(1/24) contributes the constant 1/24, so the
-    check reduces to 1/24 + q P'/P = E2 with P the Euler product.
+    check reduces to 1/24 + q P'/P = E2 with P the Euler product, where the
+    log-derivative kernel gives q P'/P = -sum c_m q^m in integers.
     """
-    p = euler_product(order)
-    lhs = p.q_d_dq().to_rational() * p.to_rational().inverse()
-    lhs = PowerSeries((lhs.coeffs[0] + Fraction(1, 24),) + lhs.coeffs[1:])
-    return lhs.coeffs == e2_series(order).coeffs
+    c = _logder_coefficients(euler_product(order))
+    lhs = (Fraction(1, 24),) + tuple(-v for v in c[1:])
+    return lhs == e2_series(order).coeffs

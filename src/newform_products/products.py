@@ -1,17 +1,20 @@
 """Product-formula machinery: exponent extraction and reconstruction.
 
 A monic-at-q integer series f = q + ... determines unique integers g_n with
-f = q * prod (1 - q^n)^{g_n}.  Extraction goes through the logarithmic
-derivative: writing 1 - q f'/f = sum c_m q^m gives c_m = sum_{d|m} d*g_d,
-inverted by Moebius.  A slower peel-off route is kept as an oracle.
+f = q * prod (1 - q^n)^{g_n}.  One kernel serves both directions: for
+u = f/q the logarithmic derivative q u'/u = -sum c_m q^m has
+c_m = sum_{d|m} d*g_d, and n u_n = -sum_{k<=n} c_k u_{n-k} links u and c.
+Extraction solves that recurrence for c and inverts the divisor sums by an
+in-place Moebius sieve; expansion sieves the divisor sums of g and runs the
+recurrence forwards.  A slower peel-off route is kept as the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
-from .arith import divisors, mobius
 from .errors import (
     BlockMismatch,
     InternalIntegralityFailure,
@@ -59,30 +62,52 @@ def _monic_unit_part(f: PowerSeries) -> PowerSeries:
     return PowerSeries(f.coeffs[1:])
 
 
+def _logder_coefficients(u: PowerSeries) -> list:
+    """c_1..c_{T-1} of q u'/u = -sum c_m q^m for u = 1 + O(q), T = order(u).
+
+    Solves n u_n = -sum_{k=1}^{n} c_k u_{n-k} for c_n, with no division.
+    Index 0 of the returned list is an unused 0.
+    """
+    u = u.coeffs
+    c = [0] * len(u)
+    for n in range(1, len(u)):
+        c[n] = -n * u[n] - sum(map(mul, c[1:n], u[n - 1 : 0 : -1]))
+    return c
+
+
+def _divisor_sums(lam: list) -> list:
+    """c_m = sum_{d|m} d * lam_d for 1 <= m < len(lam); index 0 is unused."""
+    c = [0] * len(lam)
+    for d in range(1, len(lam)):
+        v = d * lam[d]
+        if v:
+            for m in range(d, len(lam), d):
+                c[m] += v
+    return c
+
+
 def log_derivative_quotient(f: PowerSeries) -> PowerSeries:
     """E_f = q f'/f for f = q + O(q^2); constant term 1, order = order(f) - 1.
 
-    Computed in integer arithmetic as 1 + q u'/u with u = f/q.
+    Computed in integer arithmetic as 1 - sum c_m q^m = 1 + q u'/u, u = f/q.
     """
-    u = _monic_unit_part(f)
-    e = u.q_d_dq() * u.inverse()
-    return PowerSeries((e.coeffs[0] + 1,) + e.coeffs[1:])
+    c = _logder_coefficients(_monic_unit_part(f))
+    return PowerSeries((1,) + tuple(-v for v in c[1:]))
 
 
 def extract_exponents(f: PowerSeries) -> ExponentSequence:
     """Exponents g_n with f = q * prod (1-q^n)^{g_n}, for n < order(f) - 1."""
-    e = log_derivative_quotient(f)
-    # 1 - E_f = sum_{m>=1} c_m q^m with c_m = sum_{d|m} d * g_d
-    c = [-v for v in e.coeffs]
-    g = []
-    for m in range(1, len(c)):
-        s = sum(mobius(m // d) * c[d] for d in divisors(m))
-        if s % m != 0:
+    c = _logder_coefficients(_monic_unit_part(f))
+    # c_m = sum_{d|m} d * g_d: once c_d = d * g_d is final, remove it from
+    # every multiple of d (an in-place Moebius inversion)
+    for d in range(1, len(c)):
+        if c[d] % d != 0:
             raise InternalIntegralityFailure(
-                f"Moebius inversion gave non-integer exponent at n={m}"
+                f"Moebius inversion gave non-integer exponent at n={d}"
             )
-        g.append(s // m)
-    return ExponentSequence(tuple(g))
+        for m in range(2 * d, len(c), d):
+            c[m] -= c[d]
+    return ExponentSequence(tuple(c[d] // d for d in range(1, len(c))))
 
 
 def extract_exponents_peeling(f: PowerSeries) -> ExponentSequence:
@@ -111,17 +136,22 @@ def reconstruct(g: ExponentSequence, order: int) -> PowerSeries:
 
 
 def unit_product(g: ExponentSequence, order: int) -> PowerSeries:
-    """prod_{n < order} (1 - q^n)^{g_n} truncated to the given order."""
+    """prod_{n < order} (1 - q^n)^{g_n} truncated to the given order.
+
+    Runs the log-derivative recurrence forwards: c from the divisor sums of
+    g, then n u_n = -sum_{k=1}^{n} c_k u_{n-k}, dividing exactly by n.
+    """
     if order > g.upto + 1:
         raise PrecisionExceeded(
             f"product to order {order} needs exponents up to {order - 1}, have {g.upto}"
         )
-    u = PowerSeries.one(order)
+    c = _divisor_sums([0, *g.g[: order - 1]])
+    u = [1] + [0] * (order - 1)
     for n in range(1, order):
-        gn = g.g[n - 1]
-        if gn:
-            u = u * PowerSeries.from_terms({0: 1, n: -1}, order).pow_int(gn)
-    return u
+        u[n], rem = divmod(-sum(map(mul, c[1 : n + 1], u[n - 1 :: -1])), n)
+        if rem:
+            raise InternalIntegralityFailure(f"product coefficient q^{n} not integral")
+    return PowerSeries(tuple(u))
 
 
 def block_profile(g: ExponentSequence, r_check: int, t_check: int) -> BlockProfile:
@@ -174,23 +204,20 @@ def generalized_logder_check(
     coefficient c_m of 1 - q f'/f equals sum_{d|m} d * lam_d with
     lam_d = sum_{t_i | d} r_i * a_{i, d/t_i}.  Returns (ok, first mismatch m).
     """
-    e = log_derivative_quotient(f)
-    checkable = min(order, e.order)
-    for _, (a_values, _, t_i) in enumerate(blocks):
+    u = _monic_unit_part(f)
+    checkable = min(order, u.order)
+    lam = [0] * checkable
+    for a_values, r_i, t_i in blocks:
         need = (checkable - 1) // t_i
         if len(a_values) < need:
             raise PrecisionExceeded(
                 f"block with t={t_i} supplies {len(a_values)} terms, needs {need}"
             )
+        for j in range(1, need + 1):
+            lam[j * t_i] += r_i * a_values[j - 1]
+    expected = _divisor_sums(lam)
+    c = _logder_coefficients(u)
     for m in range(1, checkable):
-        c_m = -e.coeffs[m]
-        total = 0
-        for d in divisors(m):
-            lam = 0
-            for a_values, r_i, t_i in blocks:
-                if d % t_i == 0:
-                    lam += r_i * a_values[d // t_i - 1]
-            total += d * lam
-        if total != c_m:
+        if expected[m] != c[m]:
             return False, m
     return True, None

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import binomial_int
 from .errors import IncompatibleExponent, NonUnitConstantTerm, PrecisionExceeded
 
 
@@ -126,29 +125,8 @@ class PowerSeries:
         return PowerSeries(tuple(out))
 
     def pow_int(self, g: int) -> "PowerSeries":
-        """A^g at the same order; binomial shortcut when A = 1 + c*q^n."""
-        if g == 0:
-            return PowerSeries.one(self.order)
-        items = self.nonzero_items()
-        if (
-            len(items) <= 2
-            and items
-            and items[0] == (0, 1)
-            and all(c in (1, -1) for _, c in items)
-        ):
-            if len(items) == 1:
-                return PowerSeries.one(self.order)
-            n, c = items[1]
-            T = self.order
-            out = [0] * T
-            k = 0
-            while k * n < T:
-                out[k * n] = binomial_int(g, k) * (c ** k)
-                if g >= 0 and k == g:
-                    break
-                k += 1
-            return PowerSeries(tuple(out))
-        base = self if g > 0 else self.inverse()
+        """A^g at the same order by square-and-multiply; g < 0 inverts first."""
+        base = self if g >= 0 else self.inverse()
         e = abs(g)
         result = PowerSeries.one(self.order)
         while e:
@@ -180,39 +158,10 @@ class PowerSeries:
             out[k] = c if (sign == 1 or n % 2 == 0) else -c
         return PowerSeries(tuple(out))
 
-    def to_rational(self) -> "PowerSeries":
-        return PowerSeries(tuple(Fraction(c) for c in self.coeffs))
-
     def __str__(self):
         parts = [f"{c}*q^{n}" for n, c in self.nonzero_items()[:8]]
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(q^{self.order})"
-
-
-# Module-level aliases matching the operation vocabulary used elsewhere.
-
-def add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    return a + b
-
-
-def mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    return a * b
-
-
-def inverse(a: PowerSeries) -> PowerSeries:
-    return a.inverse()
-
-
-def pow_int(a: PowerSeries, g: int) -> PowerSeries:
-    return a.pow_int(g)
-
-
-def q_d_dq(a: PowerSeries) -> PowerSeries:
-    return a.q_d_dq()
-
-
-def subst_monomial(a: PowerSeries, sign: int, t: int, max_order: int | None = None) -> PowerSeries:
-    return a.subst_monomial(sign, t, max_order)
 
 
 @dataclass(frozen=True)

@@ -91,37 +91,34 @@ def _lcm(x: int, y: int) -> int:
     return x * y // math.gcd(x, y)
 
 
-def _pochhammer(first_sign: int, first_exp: Fraction, step_sign: int,
-                step_exp: Fraction, denom: int, order: int) -> FracSeries:
-    """(x; y)_inf = prod_{i>=0} (1 - x y^i) for x = first_sign q^first_exp,
-    y = step_sign q^step_exp, expanded below the given q-order."""
-    physical = order * denom
-    result = FracSeries.make(denom, 0, PowerSeries.one(physical))
-    i = 0
-    while True:
-        e = first_exp + i * step_exp
-        if e >= order:
-            break
-        sign = first_sign * (step_sign ** (i % 2))
-        factor = FracSeries.make(
-            denom, 0, PowerSeries.from_terms({0: 1, int(e * denom): -sign}, physical)
-        )
-        result = frac_mul(result, factor)
-        i += 1
-    return result
-
-
 def theta_product(a: MonomialArg, b: MonomialArg, order: int) -> FracSeries:
-    """Triple-product side: (-a; ab)_inf (-b; ab)_inf (ab; ab)_inf."""
+    """Triple-product side: (-a; ab)_inf (-b; ab)_inf (ab; ab)_inf.
+
+    Every factor is 1 - eps q^(k/denom) with eps = +-1.  Writing
+    1 + x = (1 - x^2)/(1 - x) turns all of them into product exponents on
+    the q^(1/denom) grid, which one unit_product call expands.
+    """
     _check_args(a, b)
     alpha, beta = a.exponent, b.exponent
     denom = _lcm(alpha.denominator, beta.denominator)
+    physical = order * denom
     ab_sign = a.sign * b.sign
-    ab_exp = alpha + beta
-    p1 = _pochhammer(-a.sign, alpha, ab_sign, ab_exp, denom, order)
-    p2 = _pochhammer(-b.sign, beta, ab_sign, ab_exp, denom, order)
-    p3 = _pochhammer(ab_sign, ab_exp, ab_sign, ab_exp, denom, order)
-    return frac_mul(frac_mul(p1, p2), p3)
+    step = int((alpha + beta) * denom)
+    g = [0] * physical
+    for first_sign, first in (
+        (-a.sign, int(alpha * denom)),
+        (-b.sign, int(beta * denom)),
+        (ab_sign, step),
+    ):
+        for i, k in enumerate(range(first, physical, step)):
+            if first_sign * ab_sign ** i == 1:
+                g[k] += 1
+            else:
+                g[k] -= 1
+                if 2 * k < physical:
+                    g[2 * k] += 1
+    inner = unit_product(ExponentSequence(tuple(g[1:])), physical)
+    return FracSeries.make(denom, 0, inner)
 
 
 def phi(order: int) -> PowerSeries:

@@ -68,6 +68,19 @@ class TestExponents:
         assert code == EXIT_OK
         assert "violated" in text
 
+    @pytest.mark.parametrize("order", ["0", "1", "2"])
+    def test_order_below_minimum_exit_2(self, order, capsys):
+        # order 2 used to exit 0 with "g": [] and a false diagnostic
+        code, text = run("exponents", "--curve", "0,0,1,-1,0", "--order", order)
+        assert code == EXIT_USAGE and text == ""
+        assert "--order >= 3" in capsys.readouterr().err
+
+    def test_minimum_order_computes_g1(self):
+        code, text = run("exponents", "--curve", "0,0,1,-1,0", "--order", "3",
+                         "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(text)["results"]["g"] == ["2"]
+
 
 class TestTable1:
     def test_verify_all_rows(self):

@@ -63,6 +63,15 @@ class TestDedekindEta:
         assert e.coeff_at(Fraction(25, 24)) == 1
         assert e.coeff_at(Fraction(49, 24)) == -1
 
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", [1, 2, 60])
+    def test_signed_negative_branch_is_literal_product(self, t, order):
+        inner = PowerSeries.one(order)
+        for n in range(1, order):
+            inner = inner * PowerSeries.from_terms({0: 1, n: -((-1) ** n)}, order)
+        literal = FracSeries.make(24, t, inner.subst_monomial(1, 24 * t))
+        assert eta_signed(t, -1, order) == literal
+
     def test_signed_rejects_bad_sign(self):
         with pytest.raises(ValueError):
             eta_signed(1, 2, 10)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from newform_products.arith import binomial_int
 from newform_products.elliptic import an_expansion, curve_from_quintuple
 from newform_products.errors import NonMonicSeries, PrecisionExceeded
 from newform_products.products import (
@@ -23,6 +24,18 @@ from newform_products.registry import builtin_table1, record_for
 
 def f37(order: int) -> PowerSeries:
     return an_expansion(curve_from_quintuple((0, 0, 1, -1, 0)), order)
+
+
+def binomial_product(g: ExponentSequence, order: int) -> PowerSeries:
+    """Reference for unit_product: multiply in each (1 - q^n)^{g_n} expanded
+    by the binomial theorem, one factor at a time."""
+    u = PowerSeries.one(order)
+    for n in range(1, order):
+        gn = g.g[n - 1]
+        if gn:
+            terms = {k * n: binomial_int(gn, k) * (-1) ** k for k in range((order - 1) // n + 1)}
+            u = u * PowerSeries.from_terms(terms, order)
+    return u
 
 
 class TestLogDerivative:
@@ -144,3 +157,50 @@ class TestGeneralizedCheck:
         f = f37(41)
         with pytest.raises(PrecisionExceeded):
             generalized_logder_check([((1, 2, 3), 2, 1)], f, 41)
+
+
+class TestKernelDifferential:
+    """The kernel against routes that share none of its code."""
+
+    def test_unit_product_dense_exponents(self):
+        rng = random.Random(31)
+        for bound in (1, 10, 10**6):
+            for _ in range(10):
+                g = ExponentSequence(
+                    tuple(rng.randint(-bound, bound) for _ in range(35))
+                )
+                assert unit_product(g, 36) == binomial_product(g, 36)
+
+    def test_unit_product_sparse_grid_exponents(self):
+        rng = random.Random(32)
+        for t in (2, 3, 5, 7):
+            for _ in range(10):
+                g = ExponentSequence(
+                    tuple(
+                        rng.randint(-(10**6), 10**6) if n % t == 0 and rng.random() < 0.5 else 0
+                        for n in range(1, 60)
+                    )
+                )
+                assert unit_product(g, 60) == binomial_product(g, 60)
+
+    def test_random_monic_series(self):
+        rng = random.Random(33)
+        for _ in range(30):
+            f = PowerSeries(
+                (0, 1) + tuple(rng.randint(-50, 50) for _ in range(rng.randint(1, 28)))
+            )
+            assert extract_exponents(f).g == extract_exponents_peeling(f).g
+            u = PowerSeries(f.coeffs[1:])
+            e = u.q_d_dq() * u.inverse()
+            expected = (e.coeffs[0] + 1,) + e.coeffs[1:]
+            assert log_derivative_quotient(f).coeffs == expected
+
+    def test_grid_block_perturbation_located(self):
+        rec = record_for(88)  # r=1, t=2
+        f = an_expansion(curve_from_quintuple(rec.curves[0]), 26)
+        assert generalized_logder_check([(rec.a_printed, 1, 2)], f, 26) == (True, None)
+        for j in (1, 4, 12):
+            a = list(rec.a_printed)
+            a[j - 1] += 1
+            ok, where = generalized_logder_check([(tuple(a), 1, 2)], f, 26)
+            assert not ok and where == 2 * j

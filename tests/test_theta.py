@@ -31,6 +31,7 @@ PAIRS = [
     (MonomialArg(1, 2, 1), MonomialArg(1, 2, 1)),
     (MonomialArg(1, 1, 1), MonomialArg(1, 5, 1)),
     (MonomialArg(1, 1, 2), MonomialArg(1, 3, 2)),
+    (MonomialArg(-1, 1, 3), MonomialArg(1, 2, 1)),
 ]
 
 
