@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Every subcommand emits a structured document: plain text for side-by-side
-reading, json/csv for machines.  Output is bytewise deterministic for
-identical inputs (no timestamps unless --timestamps); big integers are
-always serialized as decimal strings.
+Every subcommand builds a structured document, which `main` emits as plain
+text for side-by-side reading or json/csv for machines.  Output is bytewise
+deterministic for identical inputs; big integers are always serialized as
+decimal strings.
 
 Exit codes: 0 ok, 1 verification violation, 2 input/environment error.
 """
@@ -22,14 +22,7 @@ from .eta import verify_e2_identity
 from .products import block_profile, extract_exponents, infer_block
 from .qseries import frac_equal_to
 from .registry import builtin_table1, extend_block, load_registry
-from .search import (
-    MATCH,
-    SearchCandidate,
-    assemble,
-    enumerate_candidates,
-    eta_quotient_search,
-    match_against,
-)
+from .search import assemble, enumerate_candidates, eta_quotient_search, match_against
 from .theta import (
     MonomialArg,
     theta_product,
@@ -87,11 +80,11 @@ def _status_exit(doc: dict) -> int:
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_an(args, out) -> int:
+def cmd_an(args) -> dict:
     curve = curve_from_quintuple(_parse_quintuple(args.curve))
     series = an_expansion(curve, args.order)
     coeffs = [str(c) for c in series.coeffs[1:]]
-    doc = _document(
+    return _document(
         "an",
         {"curve": list(curve.quintuple), "order": args.order},
         {
@@ -102,11 +95,9 @@ def cmd_an(args, out) -> int:
         },
         "ok",
     )
-    _emit(doc, args.format, out)
-    return EXIT_OK
 
 
-def cmd_exponents(args, out) -> int:
+def cmd_exponents(args) -> dict:
     if args.order < 3:
         raise ValueError(f"exponents needs --order >= 3, got {args.order}")
     curve = curve_from_quintuple(_parse_quintuple(args.curve))
@@ -138,25 +129,24 @@ def cmd_exponents(args, out) -> int:
     except ZeroSequence:
         diagnostics.append("all exponents zero in the computed range")
     results["lines"] = lines
-    doc = _document(
+    return _document(
         "exponents",
         {"curve": list(curve.quintuple), "order": args.order},
         results,
         "ok",
         diagnostics,
     )
-    _emit(doc, args.format, out)
-    return EXIT_OK
 
 
-def cmd_table1(args, out) -> int:
+def cmd_table1(args) -> dict:
     records = load_registry(args.registry) if args.registry else builtin_table1()
+    upto = 12 if args.extend is None else args.extend
     rows = []
     lines = []
     failures = 0
     for rec in records:
         try:
-            extended = extend_block(rec, args.extend or 12)
+            extended = extend_block(rec, upto)
             status = "PASS"
             a_shown = extended.a_extended
         except NewformError as ex:
@@ -173,7 +163,7 @@ def cmd_table1(args, out) -> int:
             )
         )
     lines.append(f"{len(records) - failures}/{len(records)} PASS")
-    doc = _document(
+    return _document(
         "table1",
         {"verify": True, "extend": args.extend, "registry": args.registry},
         {
@@ -185,8 +175,6 @@ def cmd_table1(args, out) -> int:
         },
         "ok" if failures == 0 else "violation",
     )
-    _emit(doc, args.format, out)
-    return _status_exit(doc)
 
 
 TRIPLE_PAIRS = [
@@ -198,7 +186,7 @@ TRIPLE_PAIRS = [
 ]
 
 
-def cmd_theta(args, out) -> int:
+def cmd_theta(args) -> dict:
     checks = []
     if args.verify_triple:
         for a, b in TRIPLE_PAIRS:
@@ -250,7 +238,7 @@ def cmd_theta(args, out) -> int:
     if not checks:
         raise ValueError("choose at least one of --verify-triple/--verify-eta256/--verify-e2/--verify-weight4")
     all_ok = all(c["ok"] for c in checks)
-    doc = _document(
+    return _document(
         "theta",
         {"order": args.order},
         {
@@ -265,8 +253,6 @@ def cmd_theta(args, out) -> int:
         },
         "ok" if all_ok else "violation",
     )
-    _emit(doc, args.format, out)
-    return _status_exit(doc)
 
 
 def _arg_str(a) -> str:
@@ -275,7 +261,7 @@ def _arg_str(a) -> str:
     return f"{'-' if sign < 0 else ''}q^{e}" if e != 1 else f"{'-' if sign < 0 else ''}q"
 
 
-def cmd_search(args, out) -> int:
+def cmd_search(args) -> dict:
     conductors = [int(v) for v in args.blocks.split(",")]
     by_id = {rec.conductor: rec for rec in builtin_table1()}
     unknown = [n for n in conductors if n not in by_id]
@@ -305,7 +291,7 @@ def cmd_search(args, out) -> int:
         + (f"  -> {e.get('verdict', 'unmatched')}" if target is not None else "")
         for e in entries
     ] + [BOUNDED_SEARCH_NOTE]
-    doc = _document(
+    return _document(
         "search",
         {
             "blocks": conductors,
@@ -324,18 +310,16 @@ def cmd_search(args, out) -> int:
         },
         "ok",
     )
-    _emit(doc, args.format, out)
-    return EXIT_OK
 
 
-def cmd_etaquotient(args, out) -> int:
+def cmd_etaquotient(args) -> dict:
     quotients = eta_quotient_search(args.level, args.order, args.max_exponent)
     entries = [
         {"terms": [list(t) for t in eq.terms], "display": str(eq)} for eq in quotients
     ]
     lines = [e["display"] for e in entries] or ["no eta quotient within bounds"]
     lines.append(BOUNDED_SEARCH_NOTE)
-    doc = _document(
+    return _document(
         "etaquotient",
         {"level": args.level, "order": args.order, "max_exponent": args.max_exponent},
         {
@@ -347,8 +331,6 @@ def cmd_etaquotient(args, out) -> int:
         },
         "ok",
     )
-    _emit(doc, args.format, out)
-    return EXIT_OK
 
 
 def _verify_all_items() -> list[dict]:
@@ -401,10 +383,10 @@ def _verify_all_items() -> list[dict]:
     return items
 
 
-def cmd_verify_all(args, out) -> int:
+def cmd_verify_all(args) -> dict:
     items = _verify_all_items()
     all_ok = all(i["ok"] for i in items)
-    doc = _document(
+    return _document(
         "verify-all",
         {},
         {
@@ -420,12 +402,6 @@ def cmd_verify_all(args, out) -> int:
         },
         "ok" if all_ok else "violation",
     )
-    if args.timestamps:
-        import datetime
-
-        doc["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    _emit(doc, args.format, out)
-    return _status_exit(doc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exponents)
 
     p = sub.add_parser("table1", help="verify/extend the embedded block table")
-    p.add_argument("--verify", action="store_true", default=True)
     p.add_argument("--extend", type=int, default=None, metavar="K")
     p.add_argument("--registry", default=None, help="registry file instead of builtins")
     common(p)
@@ -485,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_etaquotient)
 
     p = sub.add_parser("verify-all", help="one-shot offline verification suite")
-    p.add_argument("--timestamps", action="store_true")
     common(p)
     p.set_defaults(func=cmd_verify_all)
 
@@ -500,10 +474,12 @@ def main(argv=None, out=None) -> int:
     except SystemExit as ex:
         return EXIT_USAGE if ex.code not in (0, None) else 0
     try:
-        return args.func(args, out)
+        doc = args.func(args)
     except (NewformError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
+    _emit(doc, args.format, out)
+    return _status_exit(doc)
 
 
 if __name__ == "__main__":

@@ -8,12 +8,11 @@ models at primes >= 5.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factor, is_prime, legendre, primes_upto
-from .errors import SingularCurve, UnsupportedReduction
+from .errors import InternalIntegralityFailure, SingularCurve, UnsupportedReduction
 from .qseries import PowerSeries
 
 GOOD = "good"
@@ -67,7 +66,6 @@ def curve_from_quintuple(a) -> Curve:
     disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     if disc == 0:
         raise SingularCurve(f"quintuple {list(a)} defines a singular curve")
-    assert 1728 * disc == c4 ** 3 - c6 ** 2
     _reject_nonminimal(c4, disc)
     return Curve(a1, a2, a3, a4, a6, b2, b4, b6, b8, c4, c6, disc)
 
@@ -118,7 +116,8 @@ def reduction_at(c: Curve, p: int) -> ReductionInfo:
     """Reduction type and a_p at prime p."""
     if c.disc % p != 0:
         ap = p + 1 - count_points(c, p)
-        assert ap * ap <= 4 * p, f"Hasse bound violated at p={p}"
+        if ap * ap > 4 * p:
+            raise InternalIntegralityFailure(f"Hasse bound violated at p={p}: a_p = {ap}")
         return ReductionInfo(p, GOOD, ap)
     if c.c4 % p == 0:
         return ReductionInfo(p, ADDITIVE, 0)

@@ -22,7 +22,7 @@ class NonMonicSeries(NewformError):
 
 
 class InternalIntegralityFailure(NewformError):
-    """Moebius inversion produced a non-integer exponent; indicates a bug."""
+    """Internal invariant failed; indicates a bug."""
 
 
 class PrecisionExceeded(NewformError):
@@ -58,15 +58,11 @@ class InvalidArgs(NewformError):
 
 
 class NetworkUnavailable(NewformError):
-    """Remote lookup attempted while offline and not cached."""
-
-
-class NotFound(NewformError):
-    """Remote database has no record under the requested label."""
+    """No bundled record holds the requested label to the requested depth."""
 
 
 class ParseFailure(NewformError):
-    """Remote payload could not be interpreted; raw text retained."""
+    """A bundled record could not be interpreted."""
 
 
 class InsufficientData(NewformError):

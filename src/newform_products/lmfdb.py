@@ -1,26 +1,19 @@
-"""Thin cross-check client for the LMFDB elliptic-curve database.
+"""Bundled LMFDB fixture records and a regression cross-check.
 
-Strictly optional: every verification in this package runs offline from the
-bundled fixtures (NEWFORM_OFFLINE=1, or any time the label is cached).  The
-network path fetches a curve's a-invariants and derives the coefficient
-prefix by point counting; raw payloads are retained next to the parsed
-cache entry for diagnosis when the remote schema drifts.
+The fixtures hold, for each embedded conductor, a curve's a-invariants and
+its coefficient prefix f_1, f_2, ...  They were generated by this package's
+own point counting, so `crosscheck` against them is a regression check on
+the local computation, not an independent oracle.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .elliptic import an_expansion, curve_from_quintuple
-from .errors import InsufficientData, NetworkUnavailable, NotFound, ParseFailure
-from .registry import cache_dir
-
-OFFLINE_ENV = "NEWFORM_OFFLINE"
-DEFAULT_BASE_URL = "https://www.lmfdb.org"
+from .elliptic import an_expansion
+from .errors import InsufficientData, NetworkUnavailable, ParseFailure
 
 
 @dataclass(frozen=True)
@@ -30,31 +23,6 @@ class RemoteRecord:
     coefficients: tuple[int, ...]  # f_1, f_2, ...
     fetched_at: str
     source_url: str
-
-
-def offline() -> bool:
-    return os.environ.get(OFFLINE_ENV, "") not in ("", "0")
-
-
-def _cache_path(label: str, version: int) -> str:
-    safe = re.sub(r"[^A-Za-z0-9._-]", "_", label)
-    return os.path.join(cache_dir(), "lmfdb", f"{safe}.v{version}.json")
-
-
-def _latest_cached(label: str) -> str | None:
-    for v in range(99, 0, -1):
-        p = _cache_path(label, v)
-        if os.path.exists(p):
-            return p
-    return None
-
-
-def _next_cache_path(label: str) -> str:
-    for v in range(1, 100):
-        p = _cache_path(label, v)
-        if not os.path.exists(p):
-            return p
-    raise RuntimeError(f"cache version overflow for {label}")
 
 
 def _record_from_doc(doc: dict, where: str) -> RemoteRecord:
@@ -77,90 +45,20 @@ def _load_fixtures() -> dict:
     return json.loads(text)
 
 
-def fetch(label: str, upto: int = 30, refresh: bool = False) -> RemoteRecord:
-    """Record for a curve label, from cache, bundled fixtures, or the network."""
-    if not refresh:
-        cached = _latest_cached(label)
-        if cached is not None:
-            with open(cached, encoding="utf-8") as fh:
-                rec = _record_from_doc(json.load(fh), cached)
-            if len(rec.coefficients) >= upto:
-                return rec
-        fixtures = _load_fixtures()
-        if label in fixtures:
-            rec = _record_from_doc(fixtures[label], f"fixture {label}")
-            if len(rec.coefficients) >= upto:
-                return rec
-    if offline():
-        raise NetworkUnavailable(
-            f"label {label!r} not cached to {upto} coefficients and {OFFLINE_ENV} is set"
-        )
-    rec = _fetch_remote(label, upto)
-    path = _next_cache_path(label)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "label": rec.label,
-                "quintuple": list(rec.quintuple),
-                "coefficients": [str(c) for c in rec.coefficients],
-                "fetched_at": rec.fetched_at,
-                "source_url": rec.source_url,
-            },
-            fh,
-            indent=1,
-        )
-    os.replace(tmp, path)
-    return rec
-
-
-def _fetch_remote(label: str, upto: int) -> RemoteRecord:
-    import datetime
-
-    import requests
-
-    url = (
-        f"{os.environ.get('NEWFORM_LMFDB_URL', DEFAULT_BASE_URL)}"
-        f"/api/ec_curvedata/?lmfdb_label={label}&_format=json"
+def fetch(label: str, upto: int = 30) -> RemoteRecord:
+    """The bundled fixture record for a curve label, to at least upto terms."""
+    fixtures = _load_fixtures()
+    if label in fixtures:
+        rec = _record_from_doc(fixtures[label], f"fixture {label}")
+        if len(rec.coefficients) >= upto:
+            return rec
+    raise NetworkUnavailable(
+        f"label {label!r} has no bundled fixture with {upto} coefficients"
     )
-    try:
-        resp = requests.get(url, timeout=30)
-        resp.raise_for_status()
-    except requests.RequestException as ex:
-        raise NetworkUnavailable(f"GET {url}: {ex}") from ex
-    raw = resp.text
-    try:
-        data = resp.json()["data"]
-    except (ValueError, KeyError) as ex:
-        _retain_raw(label, raw)
-        raise ParseFailure(f"{url}: unexpected payload shape ({ex})") from ex
-    if not data:
-        raise NotFound(f"no curve under label {label!r}")
-    try:
-        ainvs = tuple(int(v) for v in data[0]["ainvs"])
-    except (KeyError, TypeError, ValueError) as ex:
-        _retain_raw(label, raw)
-        raise ParseFailure(f"{url}: could not read ainvs ({ex})") from ex
-    coeffs = an_expansion(curve_from_quintuple(ainvs), upto + 1).coeffs[1:]
-    return RemoteRecord(
-        label=label,
-        quintuple=ainvs,
-        coefficients=tuple(coeffs),
-        fetched_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        source_url=url,
-    )
-
-
-def _retain_raw(label: str, raw: str) -> None:
-    path = _next_cache_path(label) + ".raw"
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(raw)
 
 
 def crosscheck(rec: RemoteRecord, curve, upto: int) -> dict:
-    """Per-index equality of remote coefficients vs local point counting.
+    """Per-index equality of recorded coefficients vs local point counting.
 
     Any mismatch is fatal-level: it means a bug, a wrong label, or a wrong
     curve model, never a tolerable discrepancy.

@@ -51,10 +51,6 @@ class BlockProfile:
     gcd_prefix: int
     monotone_report: tuple
 
-    @property
-    def length(self) -> int:
-        return len(self.a)
-
 
 def _monic_unit_part(f: PowerSeries) -> PowerSeries:
     if f.coeffs[0] != 0 or f.order < 2 or f.coeffs[1] != 1:
@@ -120,7 +116,8 @@ def extract_exponents_peeling(f: PowerSeries) -> ExponentSequence:
         if gm != 0:
             factor = PowerSeries.from_terms({0: 1, m: -1}, h.order)
             h = h * factor.pow_int(-gm)
-        assert all(h.coeffs[k] == 0 for k in range(1, m + 1))
+        if any(h.coeffs[1 : m + 1]):
+            raise InternalIntegralityFailure(f"peeling left a nonzero term at m={m}")
     return ExponentSequence(tuple(g))
 
 

@@ -48,14 +48,6 @@ class PowerSeries:
                 c[n] = v
         return PowerSeries(tuple(c))
 
-    def coeff(self, n: int):
-        """Coefficient of q^n; raises beyond the truncation order."""
-        if n < 0:
-            return 0
-        if n >= self.order:
-            raise PrecisionExceeded(f"coefficient q^{n} beyond order {self.order}")
-        return self.coeffs[n]
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -306,10 +298,6 @@ def frac_pow(a: FracSeries, r: int) -> FracSeries:
         return a
     inner = a.series.pow_int(r)
     return _normalize(a.denom, a.offset * r, inner)
-
-
-def frac_inverse(a: FracSeries) -> FracSeries:
-    return frac_pow(a, -1)
 
 
 def frac_subst_scale(a: FracSeries, t: int) -> FracSeries:

@@ -16,9 +16,6 @@ from .elliptic import an_expansion, curve_from_quintuple
 from .errors import SchemaViolation, TableMismatch
 from .products import block_profile, extract_exponents
 
-CACHE_DIR_ENV = "NEWFORM_CACHE_DIR"
-
-
 @dataclass(frozen=True)
 class BlockRecord:
     conductor: int
@@ -184,9 +181,3 @@ def load_registry(path: str | os.PathLike) -> list[BlockRecord]:
     return [
         _record_from_json(r, f"{path}:records[{i}]") for i, r in enumerate(records)
     ]
-
-
-def cache_dir() -> str:
-    return os.environ.get(CACHE_DIR_ENV) or os.path.join(
-        os.path.expanduser("~"), ".cache", "newform-products"
-    )

@@ -21,7 +21,7 @@ from .errors import PrecisionExceeded, UnknownLevel
 from .eta import EtaQuotient, eta_quotient_series
 from .products import ExponentSequence, extract_exponents, unit_product
 from .qseries import FracSeries, PowerSeries, frac_mul, frac_pow, frac_subst_scale
-from .registry import BlockRecord, extend_block, record_for
+from .registry import BlockRecord, record_for
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -41,14 +41,19 @@ class SearchCandidate:
     mismatch_at: Fraction | None = None
 
 
-def _constraints_hold(blocks: dict[int, BlockRecord], parts) -> bool:
+def _constraint_sums(blocks: dict[int, BlockRecord], parts) -> tuple[Fraction, Fraction]:
+    """(sum r t / (rc tc), sum r / rc): the leading exponent and weight / 2."""
     s_exp = Fraction(0)
     s_wt = Fraction(0)
     for conductor, r, t in parts:
         rec = blocks[conductor]
         s_exp += Fraction(r * t, rec.r_check * rec.t_check)
         s_wt += Fraction(r, rec.r_check)
-    return s_exp == 1 and s_wt == 1
+    return s_exp, s_wt
+
+
+def _constraints_hold(blocks: dict[int, BlockRecord], parts) -> bool:
+    return _constraint_sums(blocks, parts) == (1, 1)
 
 
 def enumerate_candidates(
@@ -90,6 +95,8 @@ def assemble(
 ) -> FracSeries:
     """Expand the candidate product with exact fractional-exponent bookkeeping."""
     by_id = {rec.conductor: rec for rec in blocks}
+    if _constraint_sums(by_id, cand.parts) != (1, 1):
+        raise ValueError(f"candidate {cand.parts} violates the linear constraints")
     result = None
     for conductor, r, t in cand.parts:
         rec = by_id[conductor]
@@ -102,7 +109,6 @@ def assemble(
             )
         part = frac_pow(frac_subst_scale(_block_series(rec, inner_order), t), r)
         result = part if result is None else frac_mul(result, part)
-    assert result is not None and result.leading_exponent == 1
     return result
 
 

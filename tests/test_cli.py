@@ -7,14 +7,6 @@ import json
 import pytest
 
 from newform_products.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
-from newform_products.lmfdb import OFFLINE_ENV
-from newform_products.registry import CACHE_DIR_ENV
-
-
-@pytest.fixture(autouse=True)
-def isolated_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
-    monkeypatch.setenv(OFFLINE_ENV, "1")
 
 
 def run(*argv):
@@ -92,6 +84,13 @@ class TestTable1:
         code, text = run("table1", "--extend", "14")
         assert code == EXIT_OK
         assert "17/17 PASS" in text
+
+    @pytest.mark.parametrize("extend", ["0", "11"])
+    def test_extend_below_12_exit_2(self, extend, capsys):
+        # 0 must not be read as "not given"
+        code, text = run("table1", "--extend", extend)
+        assert code == EXIT_USAGE and text == ""
+        assert "must be >= 12" in capsys.readouterr().err
 
 
 class TestTheta:

@@ -1,8 +1,11 @@
 """Point counting, reduction classification, and coefficient expansion."""
 
 import math
+import random
 
 import pytest
+
+from newform_products import elliptic
 
 from newform_products.arith import primes_upto, is_prime
 from newform_products.elliptic import (
@@ -16,11 +19,32 @@ from newform_products.elliptic import (
     curve_from_quintuple,
     reduction_at,
 )
-from newform_products.errors import SingularCurve, UnsupportedReduction
+from newform_products.errors import (
+    InternalIntegralityFailure,
+    SingularCurve,
+    UnsupportedReduction,
+)
 from newform_products.registry import builtin_table1
 
 
 ALL_CURVES = [c for rec in builtin_table1() for c in rec.curves]
+
+
+def _random_quintuples(count, seed=1728):
+    """Seeded random small quintuples that define (minimal) curves."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        quint = tuple(rng.randint(-9, 9) for _ in range(5))
+        try:
+            curve_from_quintuple(quint)
+        except SingularCurve:
+            continue
+        out.append(quint)
+    return out
+
+
+RANDOM_QUINTUPLES = _random_quintuples(40)
 
 
 class TestInvariants:
@@ -31,7 +55,8 @@ class TestInvariants:
         assert c.c6 == -216
 
     def test_invariant_relation_all_curves(self):
-        for quint in ALL_CURVES:
+        # a polynomial identity of the b/c formulas, so any quintuple checks it
+        for quint in ALL_CURVES + RANDOM_QUINTUPLES:
             c = curve_from_quintuple(quint)
             assert 1728 * c.disc == c.c4**3 - c.c6**2
             assert c.b8 * 4 == c.b2 * c.b6 - c.b4**2
@@ -57,6 +82,13 @@ class TestCounting:
             for p in primes_upto(500):
                 info = reduction_at(c, p)
                 assert info.ap * info.ap <= 4 * p, (quint, p)
+
+    def test_hasse_violation_raises_typed_error(self, monkeypatch):
+        # a typed error, not an assert, so it also holds under python -O
+        c = curve_from_quintuple((0, 0, 1, -1, 0))
+        monkeypatch.setattr(elliptic, "count_points", lambda curve, p: p + 1 + 2 * p)
+        with pytest.raises(InternalIntegralityFailure, match="Hasse"):
+            reduction_at(c, 5)
 
 
 class TestReduction:

@@ -1,21 +1,11 @@
-"""Remote-record fetch path: fixtures, cache, offline behavior, crosscheck."""
-
-import json
-import os
+"""Bundled fixture records: fetch, missing labels, crosscheck."""
 
 import pytest
 
 from newform_products.elliptic import curve_from_quintuple
 from newform_products.errors import InsufficientData, NetworkUnavailable
-from newform_products.lmfdb import OFFLINE_ENV, RemoteRecord, crosscheck, fetch
-from newform_products.registry import CACHE_DIR_ENV, builtin_table1
-
-
-@pytest.fixture(autouse=True)
-def isolated_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
-    monkeypatch.setenv(OFFLINE_ENV, "1")
-    yield tmp_path
+from newform_products.lmfdb import RemoteRecord, crosscheck, fetch
+from newform_products.registry import builtin_table1
 
 
 class TestFetch:
@@ -36,36 +26,6 @@ class TestFetch:
     def test_offline_insufficient_fixture_depth_fails(self):
         with pytest.raises(NetworkUnavailable):
             fetch("37.a", upto=10_000)
-
-    def test_cache_preferred_over_fixture(self, isolated_env):
-        cache = isolated_env / "cache" / "lmfdb"
-        cache.mkdir(parents=True)
-        doc = {
-            "label": "37.a",
-            "quintuple": [0, 0, 1, -1, 0],
-            "coefficients": [str(c) for c in range(1, 31)],
-            "fetched_at": "2026-01-01T00:00:00+00:00",
-            "source_url": "cache-test",
-        }
-        (cache / "37.a.v1.json").write_text(json.dumps(doc))
-        rec = fetch("37.a", upto=30)
-        assert rec.source_url == "cache-test"
-        assert rec.coefficients == tuple(range(1, 31))
-
-    def test_shallow_cache_falls_back_to_fixture(self, isolated_env):
-        cache = isolated_env / "cache" / "lmfdb"
-        cache.mkdir(parents=True)
-        doc = {
-            "label": "37.a",
-            "quintuple": [0, 0, 1, -1, 0],
-            "coefficients": ["1", "-2"],
-            "fetched_at": "2026-01-01T00:00:00+00:00",
-            "source_url": "cache-test",
-        }
-        (cache / "37.a.v1.json").write_text(json.dumps(doc))
-        rec = fetch("37.a", upto=30)
-        assert rec.source_url != "cache-test"
-        assert len(rec.coefficients) >= 30
 
 
 class TestCrosscheck:

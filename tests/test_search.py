@@ -79,6 +79,21 @@ class TestAssemble:
         with pytest.raises(PrecisionExceeded, match="block 37"):
             assemble(cand, [rec], 60)
 
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            (),
+            ((37, 1, 1),),  # weight 1/2: both sums are 1/2
+            ((37, 2, 2),),  # weight right, leading exponent 2
+            ((37, 1, 1), (43, 1, 1)),  # leading exponent 1/2 + 1, weight 1/2 + 1
+        ],
+    )
+    def test_assemble_rejects_constraint_violation(self, parts):
+        # a ValueError, not an assert, so it also holds under python -O
+        blocks = [extend_block(record_for(n), 40) for n in (37, 43)]
+        with pytest.raises(ValueError, match="linear constraints"):
+            assemble(SearchCandidate(parts=parts), blocks, 30)
+
 
 class TestVerdicts:
     def _native(self, conductor, order=40):

@@ -1,0 +1,29 @@
+"""The package is pure Python on the standard library."""
+
+import ast
+import pathlib
+import sys
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "newform_products"
+
+
+def _absolute_imports(path):
+    """Top-level names of every absolute import, function-local ones included."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_imports_only_stdlib():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    foreign = [
+        (path.name, name)
+        for path in modules
+        for name in _absolute_imports(path)
+        if name not in sys.stdlib_module_names
+    ]
+    assert foreign == []
