@@ -139,6 +139,8 @@ def cmd_exponents(args) -> dict:
 
 
 def cmd_table1(args) -> dict:
+    if args.extend is not None and args.extend < 12:
+        raise ValueError("extension target must be >= 12")
     records = load_registry(args.registry) if args.registry else builtin_table1()
     upto = 12 if args.extend is None else args.extend
     rows = []

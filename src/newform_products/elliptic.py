@@ -2,8 +2,10 @@
 
 The coefficient sequence f_n is built from point counts via the standard
 multiplicative structure (Hecke recurrence at prime powers).  Input models
-are assumed globally minimal; a sanity check rejects obviously non-minimal
-models at primes >= 5.
+must be globally minimal.  A sanity check rejects obviously non-minimal
+models at primes >= 5; minimality at 2 and 3 is not checked, and a model
+that is not minimal there gives wrong f_n without an error (for example
+[0,0,8,-16,0], which is 37a rescaled by u = 2, gives f_2 = 0, not -2).
 """
 
 from __future__ import annotations

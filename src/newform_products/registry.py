@@ -26,15 +26,6 @@ class BlockRecord:
     a_extended: tuple[int, ...] | None = None
     extra: dict = field(default_factory=dict, compare=False)
 
-    def prefix(self, upto: int) -> tuple[int, ...]:
-        """a_1..a_upto, preferring the extension when present."""
-        src = self.a_extended if self.a_extended and len(self.a_extended) >= upto else self.a_printed
-        if len(src) < upto:
-            raise TableMismatch(
-                f"record {self.conductor} has only {len(src)} block terms, needs {upto}"
-            )
-        return src[:upto]
-
 
 # Table of building blocks: conductor, curves, r_check, t_check, a_1..a_12.
 # Conductor 53 is sometimes mistakenly listed with the conductor-37

@@ -5,12 +5,14 @@ constraints (leading exponent 1 and total weight 2):
 
     sum r_i t_i / (rc_i tc_i) = 1        sum r_i / rc_i = 1
 
-where (rc, tc) are the block's own shape parameters.  All "no match"
+where (rc, tc) are the block's own shape parameters; enumeration tests them
+in integers scaled by the lcm of the blocks' rc * tc.  All "no match"
 outcomes are bounded-search facts, never nonexistence claims.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -19,8 +21,8 @@ from .arith import divisors
 from .elliptic import an_expansion, curve_from_quintuple
 from .errors import PrecisionExceeded, UnknownLevel
 from .eta import EtaQuotient, eta_quotient_series
-from .products import ExponentSequence, extract_exponents, unit_product
-from .qseries import FracSeries, PowerSeries, frac_mul, frac_pow, frac_subst_scale
+from .products import ExponentSequence, _combined_exponents, extract_exponents, unit_product
+from .qseries import FracSeries, PowerSeries
 from .registry import BlockRecord, record_for
 
 MATCH = "match"
@@ -41,19 +43,33 @@ class SearchCandidate:
     mismatch_at: Fraction | None = None
 
 
-def _constraint_sums(blocks: dict[int, BlockRecord], parts) -> tuple[Fraction, Fraction]:
-    """(sum r t / (rc tc), sum r / rc): the leading exponent and weight / 2."""
-    s_exp = Fraction(0)
-    s_wt = Fraction(0)
-    for conductor, r, t in parts:
-        rec = blocks[conductor]
-        s_exp += Fraction(r * t, rec.r_check * rec.t_check)
-        s_wt += Fraction(r, rec.r_check)
+def _atom(part, blocks: dict[int, BlockRecord], scale: int) -> tuple[int, int, tuple]:
+    """(e, w, part): the part's terms r t / (rc tc) and r / rc, times scale."""
+    conductor, r, t = part
+    rec = blocks[conductor]
+    return r * t * scale // (rec.r_check * rec.t_check), r * scale // rec.r_check, part
+
+
+def _common_scale(blocks) -> int:
+    """L = lcm of the blocks' rc * tc: every atom's terms are integers over L."""
+    return math.lcm(*(rec.r_check * rec.t_check for rec in blocks))
+
+
+def _constraint_sums(atoms) -> tuple[int, int]:
+    """(sum of exponent terms, sum of weight terms) of (e, w, part) atoms."""
+    s_exp = s_wt = 0
+    for e, w, _ in atoms:
+        s_exp += e
+        s_wt += w
     return s_exp, s_wt
 
 
-def _constraints_hold(blocks: dict[int, BlockRecord], parts) -> bool:
-    return _constraint_sums(blocks, parts) == (1, 1)
+def _constraints_hold(atoms, scale: int) -> bool:
+    """Both constraints: leading exponent 1 and weight 2, scaled by scale.
+
+    Called once per atom multiset that enumeration tests, and nowhere else.
+    """
+    return _constraint_sums(atoms) == (scale, scale)
 
 
 def enumerate_candidates(
@@ -67,37 +83,40 @@ def enumerate_candidates(
     if r_bound < 0 or t_bound < 1:
         raise ValueError("bounds must be positive")
     by_id = {rec.conductor: rec for rec in blocks}
+    scale = _common_scale(by_id.values())
     atoms = [
-        (conductor, r, t)
+        _atom((conductor, r, t), by_id, scale)
         for conductor in sorted(by_id)
         for t in range(1, t_bound + 1)
         for r in range(-r_bound, r_bound + 1)
         if r != 0
     ]
-    out = []
-    for combo in combinations_with_replacement(atoms, s):
-        if _constraints_hold(by_id, combo):
-            out.append(SearchCandidate(parts=tuple(sorted(combo))))
+    out = [
+        SearchCandidate(parts=tuple(sorted(atom[2] for atom in combo)))
+        for combo in combinations_with_replacement(atoms, s)
+        if _constraints_hold(combo, scale)
+    ]
     out.sort(key=lambda c: c.parts)
     return out
-
-
-def _block_series(rec: BlockRecord, order: int) -> FracSeries:
-    """The block as q^(1/(rc*tc)) * prod (1-q^n)^(a_n), inner order as given."""
-    a = rec.prefix(order - 1) if order > 1 else ()
-    d = rec.r_check * rec.t_check
-    inner = unit_product(ExponentSequence(tuple(a)), order)
-    return FracSeries.make(d, 1, inner.subst_monomial(1, d))
 
 
 def assemble(
     cand: SearchCandidate, blocks: list[BlockRecord], order: int
 ) -> FracSeries:
-    """Expand the candidate product with exact fractional-exponent bookkeeping."""
+    """Expand the candidate product exactly, as q * prod (1 - q^m)^(G_m).
+
+    The constraints make the leading exponent 1, and the product exponents
+    are G_m = sum_{t_i | m} r_i a_{i, m/t_i}.  The expansion is known below
+    q^(1 + n), n = min_i t_i (ceil(order / t_i) + 1), as when each part is
+    expanded to ceil(order / t_i) + 1 terms and multiplied out.
+    """
     by_id = {rec.conductor: rec for rec in blocks}
-    if _constraint_sums(by_id, cand.parts) != (1, 1):
+    scale = _common_scale(by_id.values())
+    atoms = [_atom(part, by_id, scale) for part in cand.parts]
+    if _constraint_sums(atoms) != (scale, scale):
         raise ValueError(f"candidate {cand.parts} violates the linear constraints")
-    result = None
+    factors = []
+    bounds = []
     for conductor, r, t in cand.parts:
         rec = by_id[conductor]
         inner_order = -(-order // t) + 1
@@ -107,9 +126,11 @@ def assemble(
                 f"block {conductor} extends to a_{available}, candidate needs "
                 f"a_{inner_order - 1} at t={t}; extend the block first"
             )
-        part = frac_pow(frac_subst_scale(_block_series(rec, inner_order), t), r)
-        result = part if result is None else frac_mul(result, part)
-    return result
+        factors.append((rec.a_extended or rec.a_printed, r, t))
+        bounds.append(t * inner_order)
+    n = min(bounds)
+    g = ExponentSequence(tuple(_combined_exponents(factors, n)[1:]))
+    return FracSeries.make(1, 1, unit_product(g, n))
 
 
 def match_against(

@@ -92,6 +92,16 @@ class TestTable1:
         assert code == EXIT_USAGE and text == ""
         assert "must be >= 12" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extend", ["0", "11"])
+    def test_extend_below_12_exit_2_with_empty_registry(self, extend, tmp_path, capsys):
+        # no record reaches the registry's own check, so the CLI makes it
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(
+            {"format": "newform-block-registry", "version": 1, "records": []}))
+        code, text = run("table1", "--registry", str(path), "--extend", extend)
+        assert code == EXIT_USAGE and text == ""
+        assert "must be >= 12" in capsys.readouterr().err
+
 
 class TestTheta:
     def test_eta256(self):

@@ -1,11 +1,18 @@
 """Constrained decomposition search and the bounded eta-quotient search."""
 
+import io
+import json
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+from newform_products.cli import main
 from newform_products.elliptic import an_expansion, curve_from_quintuple
 from newform_products.errors import PrecisionExceeded, UnknownLevel
+from newform_products.products import ExponentSequence, unit_product
+from newform_products.qseries import FracSeries, frac_mul, frac_pow, frac_subst_scale
 from newform_products.registry import builtin_table1, extend_block, record_for
 from newform_products.search import (
     MATCH,
@@ -17,6 +24,64 @@ from newform_products.search import (
     eta_quotient_search,
     match_against,
 )
+
+
+# Oracles: the constraint filter in Fractions over every atom multiset, and
+# the candidate product multiplied out part by part on fractional grids.
+
+
+def _oracle_constraint_sums(by_id, parts):
+    s_exp = Fraction(0)
+    s_wt = Fraction(0)
+    for conductor, r, t in parts:
+        rec = by_id[conductor]
+        s_exp += Fraction(r * t, rec.r_check * rec.t_check)
+        s_wt += Fraction(r, rec.r_check)
+    return s_exp, s_wt
+
+
+def oracle_enumerate(blocks, s, r_bound, t_bound):
+    by_id = {rec.conductor: rec for rec in blocks}
+    atoms = [
+        (conductor, r, t)
+        for conductor in sorted(by_id)
+        for t in range(1, t_bound + 1)
+        for r in range(-r_bound, r_bound + 1)
+        if r != 0
+    ]
+    found = [
+        tuple(sorted(combo))
+        for combo in combinations_with_replacement(atoms, s)
+        if _oracle_constraint_sums(by_id, combo) == (1, 1)
+    ]
+    return sorted(found)
+
+
+def _block_series(rec, order):
+    """The block as q^(1/(rc*tc)) * prod (1-q^n)^(a_n), inner order as given."""
+    a = (rec.a_extended or rec.a_printed)[: order - 1]
+    d = rec.r_check * rec.t_check
+    inner = unit_product(ExponentSequence(tuple(a)), order)
+    return FracSeries.make(d, 1, inner.subst_monomial(1, d))
+
+
+def oracle_assemble(cand, blocks, order):
+    by_id = {rec.conductor: rec for rec in blocks}
+    if _oracle_constraint_sums(by_id, cand.parts) != (1, 1):
+        raise ValueError(f"candidate {cand.parts} violates the linear constraints")
+    result = None
+    for conductor, r, t in cand.parts:
+        rec = by_id[conductor]
+        inner_order = -(-order // t) + 1
+        available = len(rec.a_extended or rec.a_printed)
+        if available < inner_order - 1:
+            raise PrecisionExceeded(
+                f"block {conductor} extends to a_{available}, candidate needs "
+                f"a_{inner_order - 1} at t={t}; extend the block first"
+            )
+        part = frac_pow(frac_subst_scale(_block_series(rec, inner_order), t), r)
+        result = part if result is None else frac_mul(result, part)
+    return result
 
 
 class TestConstraints:
@@ -119,8 +184,6 @@ class TestVerdicts:
         # a series with genuinely fractional support never matches an
         # integer-exponent target
         rec = extend_block(record_for(36), 60)
-        from newform_products.search import _block_series
-        from newform_products.qseries import frac_pow, frac_subst_scale
 
         frac = frac_pow(frac_subst_scale(_block_series(rec, 10), 5), 4)
         assert frac.leading_exponent == Fraction(5, 6)
@@ -156,6 +219,107 @@ class TestVerdicts:
         assert not any(
             any(c == 43 for c, _, _ in parts) for parts in matched
         )
+
+
+# block sets and bounds for the differential tests: two t_check = 1 blocks,
+# three of them, blocks with r_check, t_check > 1 (scale lcm(24, 8) = 24),
+# and two whose r_check * t_check (2 and 3) divide neither each other
+DIFFERENTIAL_SETS = [
+    ((37, 43), 3, 4),
+    ((37, 43, 53), 2, 3),
+    ((36, 288), 2, 6),
+    ((88, 243), 2, 6),
+]
+DIFFERENTIAL_ORDERS = [2, 3, 15, 40, 80]
+
+
+@pytest.fixture(scope="module")
+def extended_table():
+    return {rec.conductor: extend_block(rec, 81) for rec in builtin_table1()}
+
+
+def _same_outcome(cand, blocks, order):
+    """assemble and oracle_assemble agree: equal series or the same error."""
+    try:
+        want = oracle_assemble(cand, blocks, order)
+    except (ValueError, PrecisionExceeded) as ex:
+        with pytest.raises(type(ex)) as got:
+            assemble(cand, blocks, order)
+        assert str(got.value) == str(ex)
+        return
+    assert assemble(cand, blocks, order) == want, (cand.parts, order)
+
+
+class TestOracleDifferential:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("conductors,r_bound,t_bound", DIFFERENTIAL_SETS)
+    def test_enumeration_equals_oracle(self, conductors, r_bound, t_bound, s):
+        blocks = [record_for(n) for n in conductors]
+        want = oracle_enumerate(blocks, s, r_bound, t_bound)
+        got = [c.parts for c in enumerate_candidates(blocks, s, r_bound, t_bound)]
+        assert want and got == want
+
+    @pytest.mark.parametrize("order", DIFFERENTIAL_ORDERS)
+    @pytest.mark.parametrize("conductors,r_bound,t_bound", DIFFERENTIAL_SETS)
+    def test_assemble_equals_oracle(self, extended_table, conductors, r_bound,
+                                    t_bound, order):
+        blocks = [extended_table[n] for n in conductors]
+        cands = [c for s in (1, 2, 3)
+                 for c in enumerate_candidates(blocks, s, r_bound, t_bound)]
+        rng = random.Random(order)
+        for cand in rng.sample(cands, 24):
+            _same_outcome(cand, blocks, order)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_assemble_equals_oracle_on_random_blocks(self, extended_table, seed):
+        rng = random.Random(seed)
+        conductors = rng.sample(sorted(extended_table), rng.randint(1, 3))
+        blocks = [extended_table[n] for n in conductors]
+        order = rng.choice(DIFFERENTIAL_ORDERS)
+        cands = [c for s in (1, 2) for c in enumerate_candidates(blocks, s, 4, 6)]
+        assert cands
+        for cand in rng.sample(cands, min(12, len(cands))):
+            _same_outcome(cand, blocks, order)
+
+    @pytest.mark.parametrize(
+        "parts",
+        [(), ((37, 1, 1),), ((37, 2, 2),), ((37, 1, 1), (43, 1, 1))],
+    )
+    def test_same_constraint_error(self, extended_table, parts):
+        blocks = [extended_table[37], extended_table[43]]
+        _same_outcome(SearchCandidate(parts=parts), blocks, 30)
+
+    def test_same_precision_error(self, extended_table):
+        # block 43 has only its 12 printed terms; the error names it
+        blocks = [extended_table[37], record_for(43)]
+        for parts in [((43, 1, 1),), ((37, 1, 1), (37, 1, 1)),
+                      ((37, 4, 1), (43, -1, 1))]:
+            _same_outcome(SearchCandidate(parts=parts), blocks, 60)
+        with pytest.raises(PrecisionExceeded, match="block 43"):
+            assemble(SearchCandidate(parts=((37, 4, 1), (43, -1, 1))), blocks, 60)
+
+
+class TestSearchCommand:
+    def test_target_verdicts_equal_oracle(self):
+        out = io.StringIO()
+        argv = ["search", "--blocks", "37,43", "--s", "3", "--max-r", "2",
+                "--max-t", "2", "--order", "30", "--target", "0,0,1,-1,0",
+                "--format", "json"]
+        assert main(argv, out=out) == 0
+        entries = json.loads(out.getvalue())["results"]["candidates"]
+        blocks = [extend_block(record_for(n), 30) for n in (37, 43)]
+        parts = oracle_enumerate(blocks, 3, 2, 2)
+        assert [tuple(map(tuple, e["parts"])) for e in entries] == parts
+        target = an_expansion(curve_from_quintuple((0, 0, 1, -1, 0)), 30)
+        verdicts = set()
+        for entry, p in zip(entries, parts):
+            cand = SearchCandidate(parts=p)
+            want = match_against(cand, oracle_assemble(cand, blocks, 30), target)
+            mismatch_at = None if want.mismatch_at is None else str(want.mismatch_at)
+            assert (entry["verdict"], entry["match_order"], entry["mismatch_at"]) == (
+                want.verdict, want.match_order, mismatch_at), p
+            verdicts.add(want.verdict)
+        assert MATCH in verdicts and MISMATCH in verdicts
 
 
 class TestEtaQuotientSearch:
