@@ -315,6 +315,10 @@ def cmd_search(args) -> dict:
 
 
 def cmd_etaquotient(args) -> dict:
+    if args.order < 3:
+        raise ValueError(f"etaquotient needs --order >= 3, got {args.order}")
+    if args.max_exponent < 1:
+        raise ValueError(f"etaquotient needs --max-exponent >= 1, got {args.max_exponent}")
     quotients = eta_quotient_search(args.level, args.order, args.max_exponent)
     entries = [
         {"terms": [list(t) for t in eq.terms], "display": str(eq)} for eq in quotients

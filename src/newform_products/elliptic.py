@@ -1,7 +1,10 @@
 """Weierstrass curves over Q: invariants, point counting, a_p, newform coefficients.
 
-The coefficient sequence f_n is built from point counts via the standard
-multiplicative structure (Hecke recurrence at prime powers).  Input models
+At every prime p, a_p = p + 1 - #E~(F_p), where E~ is the reduction of the
+model mod p and the count includes its singular point if it has one.  On a
+model minimal at p this gives a_p at good p and 1, -1, 0 at split,
+nonsplit, additive p.  The coefficient sequence f_n follows from the a_p
+by the Hecke recurrence at prime powers and multiplicativity.  Input models
 must be globally minimal.  A sanity check rejects obviously non-minimal
 models at primes >= 5; minimality at 2 and 3 is not checked, and a model
 that is not minimal there gives wrong f_n without an error (for example
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factor, is_prime, legendre, primes_upto
-from .errors import InternalIntegralityFailure, SingularCurve, UnsupportedReduction
+from .errors import InternalIntegralityFailure, SingularCurve
 from .qseries import PowerSeries
 
 GOOD = "good"
@@ -82,7 +85,7 @@ def _reject_nonminimal(c4: int, disc: int) -> None:
 
 
 def count_points(c: Curve, p: int) -> int:
-    """#E(F_p) including the point at infinity.
+    """#E~(F_p): affine solutions mod p, a singular one included, plus infinity.
 
     Odd p: 4*(RHS) completed-square character sum.  p = 2: exhaustive.
     """
@@ -115,20 +118,19 @@ def count_points_naive(c: Curve, p: int) -> int:
 
 
 def reduction_at(c: Curve, p: int) -> ReductionInfo:
-    """Reduction type and a_p at prime p."""
-    if c.disc % p != 0:
-        ap = p + 1 - count_points(c, p)
-        if ap * ap > 4 * p:
-            raise InternalIntegralityFailure(f"Hasse bound violated at p={p}: a_p = {ap}")
+    """Reduction type and a_p = p + 1 - #E~(F_p) at prime p.
+
+    The count includes the singular point of a bad reduction, so one rule
+    covers every reduction type; the kind is read from (p | disc, a_p).
+    """
+    ap = p + 1 - count_points(c, p)
+    good = c.disc % p != 0
+    # a singular cubic has p, p - 1 or p + 1 nonsingular points
+    if ap * ap > (4 * p if good else 1):
+        raise InternalIntegralityFailure(f"Hasse bound violated at p={p}: a_p = {ap}")
+    if good:
         return ReductionInfo(p, GOOD, ap)
-    if c.c4 % p == 0:
-        return ReductionInfo(p, ADDITIVE, 0)
-    if p < 5:
-        raise UnsupportedReduction(
-            f"multiplicative reduction at p={p}: split/nonsplit not decided here"
-        )
-    kind = MULT_SPLIT if legendre(-c.c6, p) == 1 else MULT_NONSPLIT
-    return ReductionInfo(p, kind, 1 if kind == MULT_SPLIT else -1)
+    return ReductionInfo(p, {1: MULT_SPLIT, -1: MULT_NONSPLIT, 0: ADDITIVE}[ap], ap)
 
 
 @lru_cache(maxsize=None)
@@ -139,29 +141,21 @@ def _cached_reduction(quintuple: tuple, p: int) -> ReductionInfo:
 def an_expansion(c: Curve, order: int) -> PowerSeries:
     """Newform q-expansion sum f_n q^n to the given truncation order.
 
-    f_1 = 1; f_p from reduction data; prime powers by the weight-two Hecke
-    recurrence (good p) or f_p^k (bad p); multiplicative across coprime parts.
+    f_1 = 1; at each prime, f_{p^k} = a_p*f_{p^(k-1)} - [p does not divide
+    disc]*p*f_{p^(k-2)} with a_p from `reduction_at`; multiplicative across
+    coprime parts.
     """
     if order < 2:
         raise ValueError("an_expansion needs order >= 2")
     f = [0] * order
     f[1] = 1
     for p in primes_upto(order - 1):
-        red = _cached_reduction(c.quintuple, p)
-        ap = red.ap
-        good = red.kind == GOOD
-        # fill f at powers of p
-        pk = p
-        prev, prev2 = 1, 0  # f_{p^{k-1}}, f_{p^{k-2}}
+        ap = _cached_reduction(c.quintuple, p).ap
+        good_p = p if c.disc % p else 0
+        pk, prev, prev2 = p, 1, 0  # f_{p^{k-1}}, f_{p^{k-2}}
         while pk < order:
-            if pk == p:
-                val = ap
-            elif good:
-                val = ap * prev - p * prev2
-            else:
-                val = ap * prev
-            f[pk] = val
-            prev2, prev = prev, val
+            f[pk] = ap * prev - good_p * prev2
+            prev2, prev = prev, f[pk]
             pk *= p
     # multiply prime-power parts together
     for n in range(2, order):

@@ -9,10 +9,6 @@ class SingularCurve(NewformError):
     """Weierstrass data with vanishing discriminant."""
 
 
-class UnsupportedReduction(NewformError):
-    """Multiplicative reduction at p in {2, 3}: split/nonsplit undecidable here."""
-
-
 class NonUnitConstantTerm(NewformError):
     """Series inversion requires constant term +1 or -1 (nonzero in rational mode)."""
 

@@ -47,6 +47,14 @@ class TestAn:
         code, _ = run("an", "--curve", "1,2,3")
         assert code == EXIT_USAGE
 
+    def test_multiplicative_at_2(self):
+        # 14a: nonsplit at 2, split at 7; LMFDB 14.2.a.a
+        code, text = run("an", "--curve", "1,0,1,4,-6", "--order", "14",
+                         "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(text)["results"]["coefficients"] == [
+            "1", "-1", "-2", "1", "0", "2", "1", "-1", "1", "0", "0", "-2", "-4"]
+
 
 class TestExponents:
     def test_block_inference_shown(self):
@@ -132,6 +140,24 @@ class TestEtaQuotient:
     def test_unknown_level_exit_2(self):
         code, _ = run("etaquotient", "--level", "1")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("order", ["0", "2"])
+    def test_order_below_minimum_exit_2(self, order, capsys):
+        # order 2 has no g_1 and used to print "no eta quotient within bounds"
+        code, text = run("etaquotient", "--level", "36", "--order", order)
+        assert code == EXIT_USAGE and text == ""
+        assert "--order >= 3" in capsys.readouterr().err
+
+    def test_minimum_order_accepted(self):
+        # g_1 alone fixes no quotient at level 36, so the search is empty
+        code, text = run("etaquotient", "--level", "36", "--order", "3")
+        assert code == EXIT_OK and "no eta quotient within bounds" in text
+
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_max_exponent_below_1_exit_2(self, bound, capsys):
+        code, text = run("etaquotient", "--level", "36", "--max-exponent", bound)
+        assert code == EXIT_USAGE and text == ""
+        assert "--max-exponent >= 1" in capsys.readouterr().err
 
 
 class TestVerifyAll:

@@ -7,27 +7,43 @@ import pytest
 
 from newform_products import elliptic
 
-from newform_products.arith import primes_upto, is_prime
+from newform_products.arith import factor, is_prime, legendre, primes_upto
 from newform_products.elliptic import (
     ADDITIVE,
     GOOD,
     MULT_NONSPLIT,
     MULT_SPLIT,
+    ReductionInfo,
     an_expansion,
     count_points,
     count_points_naive,
     curve_from_quintuple,
     reduction_at,
 )
-from newform_products.errors import (
-    InternalIntegralityFailure,
-    SingularCurve,
-    UnsupportedReduction,
-)
+from newform_products.errors import InternalIntegralityFailure, SingularCurve
+from newform_products.eta import EtaQuotient, eta_quotient_series
 from newform_products.registry import builtin_table1
 
 
 ALL_CURVES = [c for rec in builtin_table1() for c in rec.curves]
+
+# The weight-two newforms that are eta quotients (Martin & Ono, "Eta-quotients
+# and elliptic curves", Proc. AMS 125 (1997)), each with a minimal model of an
+# elliptic curve of that conductor: level -> (quintuple, ((t, r_t), ...)).
+MARTIN_ONO = {
+    11: ((0, -1, 1, -10, -20), ((1, 2), (11, 2))),
+    14: ((1, 0, 1, 4, -6), ((1, 1), (2, 1), (7, 1), (14, 1))),
+    15: ((1, 1, 1, -10, -10), ((1, 1), (3, 1), (5, 1), (15, 1))),
+    20: ((0, 1, 0, 4, 4), ((2, 2), (10, 2))),
+    24: ((0, -1, 0, -4, 4), ((2, 1), (4, 1), (6, 1), (12, 1))),
+    27: ((0, 0, 1, 0, -7), ((3, 2), (9, 2))),
+    32: ((0, 0, 0, 4, 0), ((4, 2), (8, 2))),
+    36: ((0, 0, 0, 0, 1), ((6, 4),)),
+    48: ((0, 1, 0, -4, -4), ((2, -1), (4, 4), (6, -1), (8, -1), (12, 4), (24, -1))),
+    64: ((0, 0, 0, -4, 0), ((4, -2), (8, 8), (16, -2))),
+    80: ((0, -1, 0, 4, -4), ((2, -2), (4, 6), (8, -2), (10, -2), (20, 6), (40, -2))),
+    144: ((0, 0, 0, 0, -1), ((6, -4), (12, 12), (24, -4))),
+}
 
 
 def _random_quintuples(count, seed=1728):
@@ -114,11 +130,35 @@ class TestReduction:
         n = count_points(c, 37)
         assert 37 + 1 - n == info.ap
 
-    def test_multiplicative_at_2_or_3_unsupported(self):
-        c = curve_from_quintuple((0, -1, 0, 1, 0))  # disc = -48, c4 = -32
-        assert c.disc % 3 == 0 and c.c4 % 3 != 0
-        with pytest.raises(UnsupportedReduction):
-            reduction_at(c, 3)
+    @pytest.mark.parametrize(
+        "quint, p, kind, ap",
+        [
+            ((0, -1, 0, 1, 0), 3, MULT_NONSPLIT, -1),  # disc = -48, c4 = -32
+            ((1, 0, 1, 4, -6), 2, MULT_NONSPLIT, -1),  # 14a
+            ((1, 0, 1, 4, -6), 7, MULT_SPLIT, 1),
+            ((1, 1, 1, -10, -10), 3, MULT_NONSPLIT, -1),  # 15a
+            ((1, 1, 1, -10, -10), 5, MULT_SPLIT, 1),
+        ],
+        ids=["disc-48-p3", "14a-p2", "14a-p7", "15a-p3", "15a-p5"],
+    )
+    def test_multiplicative_at_small_primes(self, quint, p, kind, ap):
+        c = curve_from_quintuple(quint)
+        assert c.disc % p == 0 and c.c4 % p != 0
+        assert reduction_at(c, p) == ReductionInfo(p, kind, ap)
+
+    def test_kind_matches_c4_and_c6_rules(self):
+        # node iff p does not divide c4 (any p); at p >= 5, split iff -c6 is a square
+        for quint in ALL_CURVES + [q for q, _ in MARTIN_ONO.values()]:
+            c = curve_from_quintuple(quint)
+            for p, _ in factor(abs(c.disc)).factors:
+                kind = reduction_at(c, p).kind
+                if c.c4 % p == 0:
+                    assert kind == ADDITIVE, (quint, p)
+                elif p >= 5:
+                    split = legendre(-c.c6, p) == 1
+                    assert kind == (MULT_SPLIT if split else MULT_NONSPLIT), (quint, p)
+                else:
+                    assert kind in (MULT_SPLIT, MULT_NONSPLIT), (quint, p)
 
 
 class TestExpansion:
@@ -159,3 +199,16 @@ class TestExpansion:
                     for c in rec.curves
                 ]
                 assert series[0] == series[1], rec.conductor
+
+
+class TestMartinOnoOracle:
+    """f_n from point counts against an expansion that counts no points."""
+
+    ORDER = 201
+
+    @pytest.mark.parametrize("level", sorted(MARTIN_ONO))
+    def test_an_expansion_equals_eta_quotient(self, level):
+        quint, terms = MARTIN_ONO[level]
+        f = an_expansion(curve_from_quintuple(quint), self.ORDER)
+        eta = eta_quotient_series(EtaQuotient(terms), self.ORDER)
+        assert [eta.coeff_at(n) for n in range(self.ORDER)] == list(f.coeffs)
