@@ -8,7 +8,7 @@ and searches for product decompositions under the two linear constraints.
 
 __version__ = "0.1.0"
 
-from .arith import binomial_int, divisors, factor, legendre, mobius
+from .arith import divisors, factor, legendre
 from .elliptic import Curve, ReductionInfo, an_expansion, count_points, curve_from_quintuple, reduction_at
 from .eta import EtaQuotient, dedekind_eta, e2_series, eta_quotient_series, eta_signed, euler_product, verify_e2_identity
 from .products import (
@@ -32,7 +32,6 @@ __all__ = [
     "PowerSeries",
     "ReductionInfo",
     "an_expansion",
-    "binomial_int",
     "block_profile",
     "count_points",
     "curve_from_quintuple",
@@ -48,7 +47,6 @@ __all__ = [
     "infer_block",
     "legendre",
     "log_derivative_quotient",
-    "mobius",
     "reconstruct",
     "reduction_at",
     "verify_e2_identity",

@@ -1,4 +1,4 @@
-"""Exact integer number theory: factorization, divisors, Moebius, Legendre, binomials.
+"""Exact integer number theory: factorization, primes, divisors, Legendre symbol.
 
 Everything here is pure and exact; inputs stay small (trial division is
 deliberate, see the size notes on each function).
@@ -70,16 +70,6 @@ def primes_upto(limit: int) -> list[int]:
     return [p for p in range(limit + 1) if sieve[p]]
 
 
-def mobius(n: int) -> int:
-    """Moebius mu: 0 on non-squarefree n, else (-1)^(number of prime factors)."""
-    if n < 1:
-        raise ValueError(f"mobius() needs n >= 1, got {n}")
-    fs = factor(n).factors
-    if any(e > 1 for _, e in fs):
-        return 0
-    return -1 if len(fs) % 2 else 1
-
-
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in increasing order."""
     if n < 1:
@@ -96,17 +86,3 @@ def legendre(a: int, p: int) -> int:
         raise ValueError(f"legendre() needs an odd prime modulus, got {p}")
     r = pow(a % p, (p - 1) // 2, p)
     return r - p if r == p - 1 else r
-
-
-def binomial_int(g: int, k: int) -> int:
-    """Generalized binomial C(g, k) for integer g (possibly negative), k >= 0.
-
-    Satisfies (1 - x)^g = sum_k C(g, k) (-x)^k as formal series.
-    """
-    if k < 0:
-        raise ValueError(f"binomial_int() needs k >= 0, got {k}")
-    if g >= 0:
-        return math.comb(g, k)
-    # C(g, k) = (-1)^k * C(k - g - 1, k)
-    sign = -1 if k % 2 else 1
-    return sign * math.comb(k - g - 1, k)

@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 verification violation, 2 input/environment error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from fractions import Fraction
@@ -63,11 +64,9 @@ def _emit(doc: dict, fmt: str, out) -> None:
         json.dump(doc, out, indent=1, sort_keys=True)
         out.write("\n")
     elif fmt == "csv":
-        rows = doc["results"].get("rows", [])
-        header = doc["results"].get("header", [])
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(str(v) for v in row) + "\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(doc["results"].get("header", []))
+        writer.writerows(doc["results"].get("rows", []))
     else:
         for line in doc["results"].get("lines", []):
             out.write(line + "\n")
@@ -264,6 +263,8 @@ def _arg_str(a) -> str:
 
 
 def cmd_search(args) -> dict:
+    if args.max_r < 1:
+        raise ValueError(f"search needs --max-r >= 1, got {args.max_r}")
     conductors = [int(v) for v in args.blocks.split(",")]
     by_id = {rec.conductor: rec for rec in builtin_table1()}
     unknown = [n for n in conductors if n not in by_id]

@@ -106,17 +106,6 @@ def count_points(c: Curve, p: int) -> int:
     return n
 
 
-def count_points_naive(c: Curve, p: int) -> int:
-    """Independent oracle: full (x, y) double loop plus infinity."""
-    n = 1
-    for x in range(p):
-        rhs = (x ** 3 + c.a2 * x * x + c.a4 * x + c.a6) % p
-        for y in range(p):
-            if (y * y + c.a1 * x * y + c.a3 * y - rhs) % p == 0:
-                n += 1
-    return n
-
-
 def reduction_at(c: Curve, p: int) -> ReductionInfo:
     """Reduction type and a_p = p + 1 - #E~(F_p) at prime p.
 

@@ -10,7 +10,7 @@ class SingularCurve(NewformError):
 
 
 class NonUnitConstantTerm(NewformError):
-    """Series inversion requires constant term +1 or -1 (nonzero in rational mode)."""
+    """Series inversion requires constant term +1 or -1."""
 
 
 class NonMonicSeries(NewformError):
@@ -42,7 +42,7 @@ class TableMismatch(NewformError):
 
 
 class SchemaViolation(NewformError):
-    """Registry or fixture file fails structural validation."""
+    """Registry file fails structural validation."""
 
 
 class UnknownLevel(NewformError):
@@ -51,15 +51,3 @@ class UnknownLevel(NewformError):
 
 class InvalidArgs(NewformError):
     """Theta arguments violate the formal convergence condition."""
-
-
-class NetworkUnavailable(NewformError):
-    """No bundled record holds the requested label to the requested depth."""
-
-
-class ParseFailure(NewformError):
-    """A bundled record could not be interpreted."""
-
-
-class InsufficientData(NewformError):
-    """Cross-check requested beyond the coefficients available on one side."""

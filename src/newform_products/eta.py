@@ -61,14 +61,6 @@ def euler_product(order: int) -> PowerSeries:
     return PowerSeries.from_terms(terms, order)
 
 
-def euler_product_dense(order: int) -> PowerSeries:
-    """Oracle: the same product by literal factor-by-factor multiplication."""
-    p = PowerSeries.one(order)
-    for n in range(1, order):
-        p = p * PowerSeries.from_terms({0: 1, n: -1}, order)
-    return p
-
-
 def dedekind_eta(order: int) -> FracSeries:
     """eta(q) = q^(1/24) * prod (1 - q^n), inner product to the given order."""
     return FracSeries.make(24, 1, euler_product(order).subst_monomial(1, 24))

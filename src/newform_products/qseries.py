@@ -1,9 +1,10 @@
 """Exact truncated power series and fractional-exponent series.
 
 A PowerSeries of order T knows the coefficients of q^0 .. q^(T-1) exactly
-(Python ints, or Fractions where a rational constant is unavoidable).
-Every binary operation truncates to the minimum of the input orders; no
-operation ever fabricates coefficients beyond what the inputs justify.
+(Python ints; a Fraction only where a rational constant is unavoidable, as
+in E2).  Every binary operation truncates to the minimum of the input
+orders; no operation ever fabricates coefficients beyond what the inputs
+justify.  Inversion needs constant term +1 or -1.
 
 A FracSeries represents q^(offset/denom) * S(q^(1/denom)).  It is kept in a
 normal form (leading coefficient of S nonzero, gcd of denom/offset/support
@@ -51,11 +52,6 @@ class PowerSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise PrecisionExceeded(f"cannot extend order {self.order} to {order}")
-        return PowerSeries(self.coeffs[:order])
-
     def nonzero_items(self) -> list[tuple[int, object]]:
         return [(i, c) for i, c in enumerate(self.coeffs) if c != 0]
 
@@ -93,19 +89,13 @@ class PowerSeries:
         return PowerSeries(tuple(out))
 
     def inverse(self) -> "PowerSeries":
-        """Multiplicative inverse at the same order; needs unit constant term."""
+        """Multiplicative inverse at the same order; needs constant term +-1."""
         c0 = self.coeffs[0]
-        if isinstance(c0, Fraction):
-            if c0 == 0:
-                raise NonUnitConstantTerm("rational series needs nonzero constant term")
-            inv0 = 1 / c0
-        elif c0 in (1, -1):
-            inv0 = c0
-        else:
-            raise NonUnitConstantTerm(f"integer series needs constant term +-1, got {c0}")
+        if c0 not in (1, -1):
+            raise NonUnitConstantTerm(f"series needs constant term +-1, got {c0}")
         T = self.order
         out = [0] * T
-        out[0] = inv0
+        out[0] = c0
         items = [(i, c) for i, c in enumerate(self.coeffs) if c != 0 and i > 0]
         for n in range(1, T):
             s = 0
@@ -113,7 +103,7 @@ class PowerSeries:
                 if i > n:
                     break
                 s += c * out[n - i]
-            out[n] = -inv0 * s if isinstance(c0, Fraction) else -c0 * s
+            out[n] = -c0 * s
         return PowerSeries(tuple(out))
 
     def pow_int(self, g: int) -> "PowerSeries":
@@ -128,10 +118,6 @@ class PowerSeries:
             if e:
                 base = base * base
         return result
-
-    def q_d_dq(self) -> "PowerSeries":
-        """The operator q d/dq: coefficient at q^n scales by n."""
-        return PowerSeries(tuple(n * c for n, c in enumerate(self.coeffs)))
 
     def subst_monomial(self, sign: int, t: int, max_order: int | None = None) -> "PowerSeries":
         """q -> sign * q^t; output order is input order * t, capped at max_order."""
@@ -305,12 +291,6 @@ def frac_subst_scale(a: FracSeries, t: int) -> FracSeries:
     if t < 1:
         raise ValueError("scale must be a positive integer")
     return _normalize(a.denom, a.offset * t, a.series.subst_monomial(1, t))
-
-
-def frac_monomial(exponent, order: int = 1) -> FracSeries:
-    """The single term q^exponent as a FracSeries."""
-    e = Fraction(exponent)
-    return _normalize(e.denominator, e.numerator, PowerSeries.one(order))
 
 
 def frac_shift(a: FracSeries, exponent) -> FracSeries:

@@ -81,7 +81,7 @@ def enumerate_candidates(
     if s not in (1, 2, 3):
         raise ValueError("part count s must be 1, 2, or 3")
     if r_bound < 0 or t_bound < 1:
-        raise ValueError("bounds must be positive")
+        raise ValueError("bounds need r_bound >= 0 and t_bound >= 1")
     by_id = {rec.conductor: rec for rec in blocks}
     scale = _common_scale(by_id.values())
     atoms = [
@@ -201,7 +201,7 @@ def eta_quotient_search(
     if any(abs(rt) > exponent_bound for _, rt in terms):
         return []
     eq = EtaQuotient(terms)
-    if sum(rt for _, rt in terms) != 4 or sum(t * rt for t, rt in terms) != 24:
+    if eq.weight_numerator != 4 or eq.leading_exponent != 1:
         return []
     # independent confirmation by direct expansion
     series = eta_quotient_series(eq, order)

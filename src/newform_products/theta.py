@@ -127,12 +127,6 @@ def phi(order: int) -> PowerSeries:
     return _as_power_series(s, order)
 
 
-def psi(order: int) -> PowerSeries:
-    """psi(q) = theta(q, q^3), supported on the triangular numbers."""
-    s = theta_sum(MonomialArg(1, 1), MonomialArg(1, 3), order)
-    return _as_power_series(s, order)
-
-
 def psi_neg_q2(order: int) -> PowerSeries:
     """psi(-q^2) = sum (-1)^(T_n) q^(2 T_n), by substitution into the sum form."""
     out = {}

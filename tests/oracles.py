@@ -1,0 +1,65 @@
+"""Brute-force routes and closed formulas that the tests check the library against.
+
+Each one computes what a library function computes, by a slower method
+that shares none of its algorithm.
+"""
+
+import math
+
+from newform_products.errors import InternalIntegralityFailure
+from newform_products.products import ExponentSequence, _monic_unit_part
+from newform_products.qseries import PowerSeries
+from newform_products.theta import MonomialArg, _as_power_series, theta_sum
+
+
+def binomial(g: int, k: int) -> int:
+    """C(g, k) for any integer g and k >= 0: (1 - x)^g = sum_k C(g, k) (-x)^k."""
+    if g >= 0:
+        return math.comb(g, k)
+    return (-1) ** k * math.comb(k - g - 1, k)
+
+
+def q_d_dq(a: PowerSeries) -> PowerSeries:
+    """The operator q d/dq: the coefficient at q^n is n * c_n."""
+    return PowerSeries(tuple(n * c for n, c in enumerate(a.coeffs)))
+
+
+def count_points_naive(c, p: int) -> int:
+    """#E~(F_p) by a full (x, y) double loop plus infinity."""
+    n = 1
+    for x in range(p):
+        rhs = (x ** 3 + c.a2 * x * x + c.a4 * x + c.a6) % p
+        for y in range(p):
+            if (y * y + c.a1 * x * y + c.a3 * y - rhs) % p == 0:
+                n += 1
+    return n
+
+
+def extract_exponents_peeling(f: PowerSeries) -> ExponentSequence:
+    """The g_n of f = q * prod (1 - q^m)^{g_m}, by successively dividing f/q
+    by (1 - q^m)^{g_m}."""
+    h = _monic_unit_part(f)
+    g = []
+    for m in range(1, h.order):
+        gm = -h.coeffs[m]
+        g.append(gm)
+        if gm != 0:
+            factor = PowerSeries.from_terms({0: 1, m: -1}, h.order)
+            h = h * factor.pow_int(-gm)
+        if any(h.coeffs[1 : m + 1]):
+            raise InternalIntegralityFailure(f"peeling left a nonzero term at m={m}")
+    return ExponentSequence(tuple(g))
+
+
+def euler_product_dense(order: int) -> PowerSeries:
+    """prod_{n>=1} (1 - q^n) by literal factor-by-factor multiplication."""
+    p = PowerSeries.one(order)
+    for n in range(1, order):
+        p = p * PowerSeries.from_terms({0: 1, n: -1}, order)
+    return p
+
+
+def psi(order: int) -> PowerSeries:
+    """psi(q) = theta(q, q^3), supported on the triangular numbers."""
+    s = theta_sum(MonomialArg(1, 1), MonomialArg(1, 3), order)
+    return _as_power_series(s, order)

@@ -16,7 +16,6 @@ from newform_products.cli import EXIT_OK, main
 from newform_products.elliptic import (
     an_expansion,
     count_points,
-    count_points_naive,
     curve_from_quintuple,
 )
 from newform_products.eta import verify_e2_identity
@@ -24,7 +23,6 @@ from newform_products.products import (
     ExponentSequence,
     block_profile,
     extract_exponents,
-    extract_exponents_peeling,
     reconstruct,
     unit_product,
 )
@@ -39,6 +37,8 @@ from newform_products.theta import (
     verify_eta256_identities,
     verify_weight4,
 )
+
+from oracles import count_points_naive, extract_exponents_peeling
 
 
 def report(number: int, ok: bool, detail: str = "") -> None:

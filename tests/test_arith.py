@@ -2,12 +2,10 @@ import pytest
 
 from newform_products.arith import (
     Factorization,
-    binomial_int,
     divisors,
     factor,
     is_prime,
     legendre,
-    mobius,
     primes_upto,
 )
 
@@ -35,23 +33,6 @@ class TestFactor:
                 assert is_prime(p)
                 prod *= p ** e
             assert prod == n
-
-
-class TestMobius:
-    def test_examples(self):
-        assert mobius(1) == 1
-        assert mobius(6) == 1
-        assert mobius(12) == 0
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            mobius(0)
-
-    def test_divisor_sum_identity(self):
-        # sum_{d|n} mu(d) is 1 at n=1 and 0 otherwise
-        for n in range(1, 10001):
-            total = sum(mobius(d) for d in divisors(n))
-            assert total == (1 if n == 1 else 0), n
 
 
 class TestDivisors:
@@ -90,21 +71,3 @@ class TestLegendre:
                 expected = 0 if a == 0 else (1 if a in squares else -1)
                 assert legendre(a, p) == expected
 
-
-class TestBinomial:
-    def test_examples(self):
-        assert binomial_int(4, 2) == 6
-        assert binomial_int(-2, 3) == -4  # (-2)(-3)(-4)/6
-        for g in range(-7, 8):
-            assert binomial_int(g, 0) == 1
-
-    def test_product_formula(self):
-        for g in range(-6, 7):
-            for k in range(0, 8):
-                num = 1
-                for i in range(k):
-                    num *= g - i
-                den = 1
-                for i in range(1, k + 1):
-                    den *= i
-                assert binomial_int(g, k) * den == num

@@ -130,6 +130,33 @@ class TestSearch:
         code, _ = run("search", "--blocks", "2", "--s", "1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("max_r", ["0", "-1"])
+    def test_max_r_below_1_exit_2(self, max_r, capsys):
+        code, text = run("search", "--blocks", "37", "--s", "1", "--max-r", max_r)
+        assert code == EXIT_USAGE and text == ""
+        assert "search needs --max-r >= 1" in capsys.readouterr().err
+
+
+class TestCsv:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theta", "--verify-triple", "--order", "20"],
+            ["search", "--blocks", "37", "--s", "2", "--max-r", "2", "--max-t", "1"],
+        ],
+        ids=["theta", "search"],
+    )
+    def test_fields_with_commas_stay_one_field(self, argv):
+        code, text = run(*argv, "--format", "csv")
+        assert code == EXIT_OK
+        _, doc = run(*argv, "--format", "json")
+        results = json.loads(doc)["results"]
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == results["header"]
+        assert all(len(row) == len(results["header"]) for row in rows)
+        assert rows[1:] == [[str(v) for v in row] for row in results["rows"]]
+        assert any("," in field for row in rows[1:] for field in row)
+
 
 class TestEtaQuotient:
     def test_level_36(self):

@@ -1,0 +1,63 @@
+"""Every library function and method has a caller in the library itself.
+
+Code that only the tests reach belongs in the tests (see `tests/oracles.py`)
+or nowhere.  Callers are matched by name: a definition counts as used when
+its name is read somewhere in `src/` outside its own body, as a name or as
+an attribute, or is re-exported by `__init__`.  Dunders and `cli.main`, the
+console entry point, are exempt.
+"""
+
+import ast
+import collections
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "newform_products"
+
+# Definitions with no library caller on purpose, and why.
+NO_LIBRARY_CALLER = {
+    "registry.save_registry": "writes the file that `table1 --registry` reads",
+}
+
+
+def _used_names(tree, reexports):
+    """Count the names read in tree: loads, attribute loads and, if reexports, imports."""
+    used = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used[node.attr] += 1
+        elif reexports and isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def _definitions(module, tree):
+    """(qualified name, node) of each top-level function and each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def _without_library_caller():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in PACKAGE.glob("*.py")
+    }
+    used = collections.Counter()
+    for module, tree in trees.items():
+        used += _used_names(tree, module == "__init__")
+    return sorted(
+        qualname
+        for module, tree in trees.items()
+        for qualname, node in _definitions(module, tree)
+        if qualname != "cli.main" and used[node.name] == _used_names(node, False)[node.name]
+    )
+
+
+def test_every_definition_has_a_library_caller():
+    assert _without_library_caller() == sorted(NO_LIBRARY_CALLER)

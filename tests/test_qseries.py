@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from newform_products.arith import binomial_int
 from newform_products.errors import (
     IncompatibleExponent,
     NonUnitConstantTerm,
@@ -13,12 +12,13 @@ from newform_products.qseries import (
     FracSeries,
     PowerSeries,
     frac_equal_to,
-    frac_monomial,
     frac_mul,
     frac_pow,
     frac_shift,
     frac_subst_scale,
 )
+
+from oracles import binomial, q_d_dq
 
 
 def series(*coeffs):
@@ -81,10 +81,6 @@ class TestInverse:
         with pytest.raises(NonUnitConstantTerm):
             series(2, 1, 1).inverse()
 
-    def test_rational_inverse_allows_any_nonzero(self):
-        a = PowerSeries((Fraction(2), Fraction(1)))
-        assert (a * a.inverse()).coeffs == (Fraction(1), Fraction(0))
-
 
 class TestPow:
     def test_binomial_cases(self):
@@ -107,7 +103,7 @@ class TestPow:
                 expected = [0] * T
                 k = 0
                 while k * n < T:
-                    expected[k * n] = binomial_int(g, k) * (-1) ** k
+                    expected[k * n] = binomial(g, k) * (-1) ** k
                     if g >= 0 and k == g:
                         break
                     k += 1
@@ -124,18 +120,12 @@ class TestPow:
 
 
 class TestDerivationAndSubst:
-    def test_q_d_dq_examples(self):
-        assert series(1, 1, 1).q_d_dq().coeffs == (0, 1, 2)
-        assert series(5).q_d_dq().coeffs == (0,)
-        geo_q = PowerSeries.from_terms({n: 1 for n in range(1, 6)}, 6)
-        assert geo_q.q_d_dq().coeffs == (0, 1, 2, 3, 4, 5)
-
     def test_derivation_rule(self):
         rng = random.Random(11)
         for _ in range(25):
             a, b = rand_series(rng, 12), rand_series(rng, 12)
-            lhs = (a * b).q_d_dq()
-            rhs = a.q_d_dq() * b + a * b.q_d_dq()
+            lhs = q_d_dq(a * b)
+            rhs = q_d_dq(a) * b + a * q_d_dq(b)
             assert lhs.coeffs == rhs.coeffs
 
     def test_subst_examples(self):
@@ -168,15 +158,14 @@ class TestRingAxioms:
         # recomputing at higher order reproduces lower-order coefficients
         rng = random.Random(3)
         a_hi, b_hi = rand_series(rng, 40), rand_series(rng, 40)
-        a_lo, b_lo = a_hi.truncate(20), b_hi.truncate(20)
+        a_lo, b_lo = PowerSeries(a_hi.coeffs[:20]), PowerSeries(b_hi.coeffs[:20])
         assert (a_lo * b_lo).coeffs == (a_hi * b_hi).coeffs[:20]
 
 
 class TestFracSeries:
     def test_frac_mul_offsets_add(self):
-        a = frac_monomial(Fraction(1, 24), 4)
-        b = frac_monomial(Fraction(1, 24), 4)
-        prod = frac_mul(a, b)
+        a = FracSeries.make(24, 1, PowerSeries.one(4))  # q^(1/24)
+        prod = frac_mul(a, a)
         assert prod.leading_exponent == Fraction(1, 12)
 
     def test_inverse_cancels(self):

@@ -15,7 +15,6 @@ from newform_products.theta import (
     eta256_block,
     eta256_series,
     phi,
-    psi,
     psi_neg_q2,
     theta_product,
     theta_sum,
@@ -23,6 +22,8 @@ from newform_products.theta import (
     verify_weight4,
     weight4_series,
 )
+
+from oracles import psi
 
 PAIRS = [
     (MonomialArg(1, 1, 1), MonomialArg(1, 1, 1)),
