@@ -21,7 +21,7 @@ from newform_products.elliptic import (
 )
 from newform_products.errors import InternalIntegralityFailure, SingularCurve
 from newform_products.eta import EtaQuotient, eta_quotient_series
-from newform_products.registry import builtin_table1, record_for
+from newform_products.registry import builtin_table1
 
 from oracles import count_points_naive
 
@@ -43,30 +43,6 @@ MARTIN_ONO = {
     64: ((0, 0, 0, -4, 0), ((4, -2), (8, 8), (16, -2))),
     80: ((0, -1, 0, 4, -4), ((2, -2), (4, 6), (8, -2), (10, -2), (20, 6), (40, -2))),
     144: ((0, 0, 0, 0, -1), ((6, -4), (12, 12), (24, -4))),
-}
-
-
-# f_1..f_30 of each table row's first curve, as recorded by this package's
-# earlier bundled fixture file.  Those records were generated by this code,
-# so the table pins results against regressions; it is not an oracle.
-RECORDED_PREFIX = {
-    36: "1 0 0 0 0 0 -4 0 0 0 0 0 2 0 0 0 0 0 8 0 0 0 0 0 -5 0 0 0 0 0",
-    37: "1 -2 -3 2 -2 6 -1 0 6 4 -5 -6 -2 2 6 -4 0 -12 0 -4 3 10 2 0 -1 4 -9 -2 6 -12",
-    43: "1 -2 -2 2 -4 4 0 0 1 8 3 -4 -5 0 8 -4 -3 -2 -2 -8 0 -6 -1 0 11 10 4 0 -6 -16",
-    53: "1 -1 -3 -1 0 3 -4 3 6 0 0 3 -3 4 0 -1 -3 -6 -5 0 12 0 7 -9 -5 3 -9 4 -7 0",
-    61: "1 -1 -2 -1 -3 2 1 3 1 3 -5 2 1 -1 6 -1 4 -1 -4 3 -2 5 -9 -6 4 -1 4 -1 -6 -6",
-    79: "1 -1 -1 -1 -3 1 -1 3 -2 3 -2 1 3 1 3 -1 -6 2 4 3 1 2 2 -3 4 -3 5 1 -6 -3",
-    83: "1 -1 -1 -1 -2 1 -3 3 -2 2 3 1 -6 3 2 -1 5 2 2 2 3 -3 -4 -3 -1 6 5 3 -7 -2",
-    88: "1 0 -3 0 -3 0 -2 0 6 0 -1 0 0 0 9 0 -6 0 4 0 6 0 1 0 4 0 -9 0 -8 0",
-    89: "1 -1 -1 -1 -1 1 -4 3 -2 1 -2 1 2 4 1 -1 3 2 -5 1 4 2 7 -3 -4 -2 5 4 0 -1",
-    92: "1 0 -3 0 -2 0 -4 0 6 0 2 0 -5 0 6 0 4 0 -2 0 12 0 1 0 -1 0 -9 0 -7 0",
-    101: "1 0 -2 -2 -1 0 -2 0 1 0 -2 4 1 0 2 4 3 0 -5 2 4 0 1 0 -4 0 4 4 -4 0",
-    243: "1 0 0 -2 0 0 -4 0 0 0 0 0 -7 0 0 4 0 0 -1 0 0 0 0 0 -5 0 0 8 0 0",
-    256: "1 0 0 0 -4 0 0 0 -3 0 0 0 -4 0 0 0 -2 0 0 0 0 0 0 0 11 0 0 0 -4 0",
-    288: "1 0 0 0 -4 0 0 0 0 0 0 0 -6 0 0 0 -8 0 0 0 0 0 0 0 11 0 0 0 4 0",
-    389: "1 -2 -2 2 -3 4 -5 0 1 6 -4 -4 -3 10 6 -4 -6 -2 5 -6 10 8 -4 0 4 6 4 -10 -6 -12",
-    675: "1 0 0 -2 0 0 -4 0 0 0 0 0 5 0 0 4 0 0 8 0 0 0 0 0 0 0 0 8 0 0",
-    2304: "1 0 0 0 -4 0 0 0 0 0 0 0 4 0 0 0 2 0 0 0 0 0 0 0 11 0 0 0 -4 0",
 }
 
 
@@ -214,12 +190,6 @@ class TestExpansion:
         c = curve_from_quintuple((0, 0, 1, -1, 0))  # multiplicative at 37
         f = an_expansion(c, 37**2 + 1)
         assert f.coeffs[37**2] == f.coeffs[37] ** 2
-
-    def test_table_curves_match_recorded_prefix(self):
-        assert sorted(RECORDED_PREFIX) == sorted(rec.conductor for rec in builtin_table1())
-        for conductor, prefix in RECORDED_PREFIX.items():
-            f = an_expansion(curve_from_quintuple(record_for(conductor).curves[0]), 31)
-            assert f.coeffs[1:] == tuple(int(v) for v in prefix.split()), conductor
 
     @pytest.mark.xfail(
         strict=True, reason="not minimal at 2; Tate's algorithm is ROADMAP item 3"
