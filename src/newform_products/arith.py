@@ -1,4 +1,7 @@
-"""Exact integer number theory: factorization, primes, divisors, Legendre symbol.
+"""Exact integer number theory: factorization, prime sieves, divisors, Legendre symbol.
+
+The Legendre symbol is a public export; the library itself counts points
+from a table of squares (see `elliptic.count_points`).
 
 Everything here is pure and exact; inputs stay small (trial division is
 deliberate, see the size notes on each function).
@@ -68,6 +71,15 @@ def primes_upto(limit: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [p for p in range(limit + 1) if sieve[p]]
+
+
+def smallest_prime_factors(limit: int) -> list[int]:
+    """spf[n] = the smallest prime dividing n, for 2 <= n <= limit (spf[0], spf[1] = 0, 1)."""
+    spf = list(range(limit + 1))
+    # descending, so the last write to each multiple is its smallest factor
+    for d in range(math.isqrt(limit), 1, -1):
+        spf[d * d :: d] = [d] * len(range(d * d, limit + 1, d))
+    return spf
 
 
 def divisors(n: int) -> list[int]:

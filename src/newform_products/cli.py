@@ -188,6 +188,9 @@ TRIPLE_PAIRS = [
 
 
 def cmd_theta(args) -> dict:
+    if args.verify_e2 and args.order < 2:
+        # at order 1 only the constant 1/24 is compared, which proves nothing
+        raise ValueError("E2 check needs order >= 2")
     checks = []
     if args.verify_triple:
         for a, b in TRIPLE_PAIRS:

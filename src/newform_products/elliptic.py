@@ -3,12 +3,15 @@
 At every prime p, a_p = p + 1 - #E~(F_p), where E~ is the reduction of the
 model mod p and the count includes its singular point if it has one.  On a
 model minimal at p this gives a_p at good p and 1, -1, 0 at split,
-nonsplit, additive p.  The coefficient sequence f_n follows from the a_p
-by the Hecke recurrence at prime powers and multiplicativity.  Input models
-must be globally minimal.  A sanity check rejects obviously non-minimal
-models at primes >= 5; minimality at 2 and 3 is not checked, and a model
-that is not minimal there gives wrong f_n without an error (for example
-[0,0,8,-16,0], which is 37a rescaled by u = 2, gives f_2 = 0, not -2).
+nonsplit, additive p.  At odd p the count reads a table of squares mod p
+along the completed-square cubic, which is stepped by finite differences.
+The coefficient sequence f_n follows from the a_p by the Hecke recurrence
+at prime powers and multiplicativity, filled from a smallest-prime-factor
+sieve.  Input models must be globally minimal.  A sanity check rejects
+obviously non-minimal models at primes >= 5; minimality at 2 and 3 is not
+checked, and a model that is not minimal there gives wrong f_n without an
+error (for example [0,0,8,-16,0], which is 37a rescaled by u = 2, gives
+f_2 = 0, not -2).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import factor, is_prime, legendre, primes_upto
+from .arith import factor, is_prime, primes_upto, smallest_prime_factors
 from .errors import InternalIntegralityFailure, SingularCurve
 from .qseries import PowerSeries
 
@@ -87,7 +90,11 @@ def _reject_nonminimal(c4: int, disc: int) -> None:
 def count_points(c: Curve, p: int) -> int:
     """#E~(F_p): affine solutions mod p, a singular one included, plus infinity.
 
-    Odd p: 4*(RHS) completed-square character sum.  p = 2: exhaustive.
+    p = 2: exhaustive.  Odd p: completing the square turns the model into
+    y^2 = d(x) = 4x^3 + b2*x^2 + 2*b4*x + b6, so the count is 1 plus the sum
+    over x of the number of square roots of d(x) mod p.  Those are read from
+    a table of squares mod p; d(x) mod p is stepped by its forward
+    differences, with no pow and no % per x.
     """
     if not is_prime(p):
         raise ValueError(f"count_points needs a prime, got {p}")
@@ -99,10 +106,24 @@ def count_points(c: Curve, p: int) -> int:
             if (y * y + c.a1 * x * y + c.a3 * y - (x ** 3 + c.a2 * x * x + c.a4 * x + c.a6)) % 2
             == 0
         )
-    n = p + 1
-    for x in range(p):
-        d = (c.a1 * x + c.a3) ** 2 + 4 * (x ** 3 + c.a2 * x * x + c.a4 * x + c.a6)
-        n += legendre(d, p)
+    roots = bytearray(p)  # roots[v] = #{y mod p : y^2 = v}
+    roots[0] = 1
+    for y in range(1, p // 2 + 1):
+        roots[y * y % p] = 2
+    # d(0) and the forward differences of d at 0, each reduced mod p
+    d, d1, d2, d3 = c.b6 % p, (4 + c.b2 + 2 * c.b4) % p, (24 + 2 * c.b2) % p, 24 % p
+    n = 1
+    for _ in range(p):
+        n += roots[d]
+        d += d1
+        if d >= p:
+            d -= p
+        d1 += d2
+        if d1 >= p:
+            d1 -= p
+        d2 += d3
+        if d2 >= p:
+            d2 -= p
     return n
 
 
@@ -131,8 +152,9 @@ def an_expansion(c: Curve, order: int) -> PowerSeries:
     """Newform q-expansion sum f_n q^n to the given truncation order.
 
     f_1 = 1; at each prime, f_{p^k} = a_p*f_{p^(k-1)} - [p does not divide
-    disc]*p*f_{p^(k-2)} with a_p from `reduction_at`; multiplicative across
-    coprime parts.
+    disc]*p*f_{p^(k-2)} with a_p from `reduction_at`.  Every other n is
+    filled by multiplicativity, f_n = f_{p^e} * f_{n/p^e} with p the
+    smallest prime factor of n from one sieve and p^e its full power in n.
     """
     if order < 2:
         raise ValueError("an_expansion needs order >= 2")
@@ -146,12 +168,12 @@ def an_expansion(c: Curve, order: int) -> PowerSeries:
             f[pk] = ap * prev - good_p * prev2
             prev2, prev = prev, f[pk]
             pk *= p
-    # multiply prime-power parts together
+    spf = smallest_prime_factors(order - 1)
+    pe = [1] * order  # pe[n] = the full power of spf[n] dividing n
     for n in range(2, order):
-        fs = factor(n).factors
-        if len(fs) > 1:
-            v = 1
-            for p, e in fs:
-                v *= f[p ** e]
-            f[n] = v
+        p = spf[n]
+        m = n // p
+        pe[n] = pe[m] * p if spf[m] == p else p
+        if pe[n] != n:
+            f[n] = f[pe[n]] * f[n // pe[n]]
     return PowerSeries(tuple(f))

@@ -160,10 +160,6 @@ class FracSeries:
     def from_power_series(ps: PowerSeries) -> "FracSeries":
         return FracSeries.make(1, 0, ps)
 
-    @property
-    def leading_exponent(self) -> Fraction:
-        return Fraction(self.offset, self.denom)
-
     def exponent_bound(self) -> Fraction:
         """Exponents are known (exactly) strictly below this bound."""
         return Fraction(self.offset + self.series.order, self.denom)
@@ -239,34 +235,28 @@ def _regrid(a: FracSeries, denom: int) -> FracSeries:
     return FracSeries(denom, a.offset * s, PowerSeries(tuple(out)))
 
 
-def frac_add(a: FracSeries, b: FracSeries) -> FracSeries:
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    d, ga, gb = _on_common_grid(a, b)
-    bound = min(ga.offset + ga.series.order, gb.offset + gb.series.order)
-    offset = min(ga.offset, gb.offset)
-    out = [0] * max(1, bound - offset)
-    for k, c in ga.series.nonzero_items():
-        if ga.offset + k < bound:
-            out[ga.offset + k - offset] += c
-    for k, c in gb.series.nonzero_items():
-        if gb.offset + k < bound:
-            out[gb.offset + k - offset] += c
-    return _normalize(d, offset, PowerSeries(tuple(out)))
-
-
 def frac_scale(a: FracSeries, k) -> FracSeries:
     return _normalize(a.denom, a.offset, a.series.scale(k))
 
 
-def frac_neg(a: FracSeries) -> FracSeries:
-    return frac_scale(a, -1)
-
-
 def frac_sub(a: FracSeries, b: FracSeries) -> FracSeries:
-    return frac_add(a, frac_neg(b))
+    """a - b on the common grid, known below the smaller exponent bound.
+
+    A zero operand is taken as exact, so it does not truncate the other.
+    """
+    if b.is_zero():
+        return a
+    if a.is_zero():
+        return frac_scale(b, -1)
+    d, ga, gb = _on_common_grid(a, b)
+    bound = min(ga.offset + ga.series.order, gb.offset + gb.series.order)
+    offset = min(ga.offset, gb.offset)
+    out = [0] * max(1, bound - offset)
+    for sign, g in ((1, ga), (-1, gb)):
+        for k, c in g.series.nonzero_items():
+            if g.offset + k < bound:
+                out[g.offset + k - offset] += sign * c
+    return _normalize(d, offset, PowerSeries(tuple(out)))
 
 
 def frac_mul(a: FracSeries, b: FracSeries) -> FracSeries:

@@ -120,6 +120,18 @@ class TestTheta:
         code, text = run("theta", "--verify-e2", "--order", "100")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_e2_order_below_2_exit_2(self, order, capsys):
+        # order 1 compares only the constant 1/24
+        code, text = run("theta", "--verify-e2", "--order", str(order))
+        assert code == EXIT_USAGE and text == ""
+        assert "E2 check needs order >= 2" in capsys.readouterr().err
+
+    def test_e2_minimum_order_accepted(self):
+        code, text = run("theta", "--verify-e2", "--order", "2")
+        assert code == EXIT_OK
+        assert "ok    E2 logarithmic-derivative identity" in text
+
 
 class TestSearch:
     def test_s1distinguished(self):

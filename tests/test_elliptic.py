@@ -1,11 +1,12 @@
 """Point counting, reduction classification, and coefficient expansion."""
 
+import functools
 import math
 import random
 
 import pytest
 
-from newform_products import elliptic
+from newform_products import arith, elliptic
 
 from newform_products.arith import factor, is_prime, legendre, primes_upto
 from newform_products.elliptic import (
@@ -23,7 +24,7 @@ from newform_products.errors import InternalIntegralityFailure, SingularCurve
 from newform_products.eta import EtaQuotient, eta_quotient_series
 from newform_products.registry import builtin_table1
 
-from oracles import count_points_naive
+from oracles import count_points_legendre, count_points_naive
 
 ALL_CURVES = [c for rec in builtin_table1() for c in rec.curves]
 
@@ -62,6 +63,31 @@ def _random_quintuples(count, seed=1728):
 
 RANDOM_QUINTUPLES = _random_quintuples(40)
 
+# first model of each table row, and the Martin-Ono models not among them
+COUNTING_MODELS = list(dict.fromkeys(
+    [rec.curves[0] for rec in builtin_table1()] + [q for q, _ in MARTIN_ONO.values()]
+))
+
+
+def _wide_curves(count, seed=4096):
+    """Seeded random curves, every other one with |a4|, |a6| ~ 10^12.
+
+    Call with the minimality check patched out: its trial division of a
+    disc of ~40 digits would not end, and point counting needs no minimal
+    model.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        quint = [rng.randint(-9, 9) for _ in range(5)]
+        if len(out) % 2:
+            quint[3:] = (rng.randint(-(10**12), 10**12) for _ in range(2))
+        try:
+            out.append(curve_from_quintuple(quint))
+        except SingularCurve:
+            continue
+    return out
+
 
 class TestInvariants:
     def test_known_invariants(self):
@@ -91,6 +117,33 @@ class TestCounting:
             c = curve_from_quintuple(quint)
             for p in primes_upto(50):
                 assert count_points(c, p) == count_points_naive(c, p), (quint, p)
+
+    @pytest.mark.parametrize("quint", COUNTING_MODELS, ids=str)
+    def test_equals_legendre_sum_below_3000(self, quint):
+        # good, split, nonsplit and additive p, and p = 3, on every model
+        c = curve_from_quintuple(quint)
+        for p in primes_upto(2999)[1:]:
+            assert count_points(c, p) == count_points_legendre(c, p), p
+
+    def test_equals_naive_on_wide_coefficients(self, monkeypatch):
+        # |a4|, |a6| ~ 10^12 exercise the mod-p reduction of the differences
+        monkeypatch.setattr(elliptic, "_reject_nonminimal", lambda c4, disc: None)
+        for c in _wide_curves(40):
+            for p in primes_upto(59):
+                assert count_points(c, p) == count_points_naive(c, p), (c, p)
+
+    def test_no_legendre_call(self, monkeypatch):
+        # the per-x Legendre route must not come back
+        def boom(a, p):
+            raise AssertionError("count_points called legendre")
+
+        monkeypatch.setattr(arith, "legendre", boom)
+        monkeypatch.setattr(elliptic, "legendre", boom, raising=False)
+        # a fresh reduction cache, so that the points are really counted
+        monkeypatch.setattr(elliptic, "_cached_reduction", functools.lru_cache(
+            elliptic._cached_reduction.__wrapped__))
+        f = an_expansion(curve_from_quintuple((0, 0, 1, -1, 0)), 500)
+        assert f.coeffs[1:11] == (1, -2, -3, 2, -2, 6, -1, 0, 6, 4)
 
     def test_hasse_bound(self):
         for quint in ALL_CURVES:
@@ -185,6 +238,19 @@ class TestExpansion:
                 rhs = f.coeffs[p] * f.coeffs[p ** (k - 1)] - p * f.coeffs[p ** (k - 2)]
                 assert lhs == rhs, (p, k)
                 k += 1
+
+    def test_composite_fill_equals_factorization(self):
+        # every f_n from the f_p alone: Hecke recurrence, then trial division
+        c = curve_from_quintuple((0, 0, 1, -1, 0))
+        f = an_expansion(c, 5000).coeffs
+        for n in range(2, 5000):
+            v = 1
+            for p, e in factor(n).factors:
+                prev2, prev = 0, 1
+                for _ in range(e):
+                    prev2, prev = prev, f[p] * prev - (p if c.disc % p else 0) * prev2
+                v *= prev
+            assert f[n] == v, n
 
     def test_bad_prime_powers(self):
         c = curve_from_quintuple((0, 0, 1, -1, 0))  # multiplicative at 37

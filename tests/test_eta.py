@@ -37,7 +37,7 @@ class TestEulerProduct:
 class TestDedekindEta:
     def test_leading_exponent(self):
         e = dedekind_eta(10)
-        assert e.leading_exponent == Fraction(1, 24)
+        assert Fraction(e.offset, e.denom) == Fraction(1, 24)
 
     def test_support_pattern(self):
         # exponents are 1/24 + pentagonal integers

@@ -15,6 +15,7 @@ from newform_products.qseries import (
     frac_mul,
     frac_pow,
     frac_shift,
+    frac_sub,
     frac_subst_scale,
 )
 
@@ -166,14 +167,14 @@ class TestFracSeries:
     def test_frac_mul_offsets_add(self):
         a = FracSeries.make(24, 1, PowerSeries.one(4))  # q^(1/24)
         prod = frac_mul(a, a)
-        assert prod.leading_exponent == Fraction(1, 12)
+        assert Fraction(prod.offset, prod.denom) == Fraction(1, 12)
 
     def test_inverse_cancels(self):
         eta_like = FracSeries.make(
             24, 1, PowerSeries.from_terms({0: 1, 24: -1, 48: -1}, 24 * 6)
         )
         prod = frac_mul(eta_like, frac_pow(eta_like, -1))
-        assert prod.leading_exponent == 0
+        assert Fraction(prod.offset, prod.denom) == 0
         assert prod.support() == [(Fraction(0), 1)]
 
     def test_denominator_normalizes_away(self):
@@ -181,7 +182,7 @@ class TestFracSeries:
         b = FracSeries.make(4, 3, PowerSeries.from_terms({0: 1, 4: 5}, 12))
         prod = frac_mul(a, b)
         assert prod.denom == 1
-        assert prod.leading_exponent == 1
+        assert Fraction(prod.offset, prod.denom) == 1
 
     def test_frac_pow_zero_and_inverse_pair(self):
         a = FracSeries.make(24, 1, PowerSeries.from_terms({0: 1, 24: -1}, 72))
@@ -193,7 +194,8 @@ class TestFracSeries:
         # eta-shaped block at scale 6 raised to the 4th: leading exponent 1
         eta = FracSeries.make(24, 1, PowerSeries.from_terms({0: 1, 24: -1}, 24 * 30))
         scaled = frac_subst_scale(eta, 6)
-        assert frac_pow(scaled, 4).leading_exponent == 1
+        powered = frac_pow(scaled, 4)
+        assert Fraction(powered.offset, powered.denom) == 1
 
     def test_coeff_at(self):
         a = FracSeries.make(4, 1, PowerSeries.from_terms({0: 1, 4: -4}, 20))
@@ -216,6 +218,25 @@ class TestFracSeries:
         a = FracSeries.make(8, 2, PowerSeries.from_terms({0: 1, 4: 7}, 16))
         b = FracSeries.make(4, 1, PowerSeries.from_terms({0: 1, 2: 7}, 8))
         assert (a.denom, a.offset, a.series.coeffs) == (b.denom, b.offset, b.series.coeffs)
+
+    def test_frac_sub_on_common_grid_truncates_at_smaller_bound(self):
+        a = FracSeries.make(2, 1, PowerSeries((1, 0, 3)))  # q^(1/2) + 3q^(3/2), to q^2
+        b = FracSeries.make(3, 1, PowerSeries((1, 5)))  # q^(1/3) + 5q^(2/3), to q^1
+        diff = frac_sub(a, b)
+        assert diff.exponent_bound() == 1
+        assert diff.support() == [(Fraction(1, 3), -1), (Fraction(1, 2), 1), (Fraction(2, 3), -5)]
+        back = frac_sub(b, a)
+        assert back.exponent_bound() == 1
+        assert back.support() == [(e, -c) for e, c in diff.support()]
+
+    def test_frac_sub_zero_operand_is_exact(self):
+        a = FracSeries.make(2, 1, PowerSeries((1, 0, 3)))
+        zero = FracSeries.from_power_series(PowerSeries.zero(1))
+        assert frac_sub(a, zero) == a
+        neg = frac_sub(zero, a)
+        assert neg.exponent_bound() == a.exponent_bound() == 2
+        assert neg.support() == [(Fraction(1, 2), -1), (Fraction(3, 2), -3)]
+        assert frac_sub(a, a).is_zero()
 
     def test_frac_equal_to_reports_first_mismatch(self):
         a = FracSeries.make(2, 1, PowerSeries((1, 0, 2, 0, 3)))

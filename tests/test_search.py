@@ -186,7 +186,7 @@ class TestVerdicts:
         rec = extend_block(record_for(36), 60)
 
         frac = frac_pow(frac_subst_scale(_block_series(rec, 10), 5), 4)
-        assert frac.leading_exponent == Fraction(5, 6)
+        assert Fraction(frac.offset, frac.denom) == Fraction(5, 6)
         target = an_expansion(curve_from_quintuple(rec.curves[0]), 40)
         cand = SearchCandidate(parts=((36, 4, 5),))
         got = match_against(cand, frac, target)
