@@ -102,12 +102,13 @@ def cmd_exponents(args) -> dict:
     curve = curve_from_quintuple(_parse_quintuple(args.curve))
     series = an_expansion(curve, args.order)
     g = extract_exponents(series)
+    g_str = [str(v) for v in g.g]  # each big g_n is converted to decimal once
     results = {
-        "g": [str(v) for v in g.g],
+        "g": g_str,
         "header": ["n", "g_n"],
-        "rows": [[n + 1, str(v)] for n, v in enumerate(g.g)],
+        "rows": [[n, v] for n, v in enumerate(g_str, start=1)],
     }
-    lines = [f"g_{n + 1} = {v}" for n, v in enumerate(g.g)]
+    lines = [f"g_{n} = {v}" for n, v in enumerate(g_str, start=1)]
     diagnostics = []
     try:
         r, t = infer_block(g)
@@ -117,7 +118,7 @@ def cmd_exponents(args) -> dict:
         results["gcd_prefix"] = profile.gcd_prefix
         results["violations"] = list(profile.monotone_report)
         lines.append(f"inferred (r, t) = ({r}, {t})")
-        lines.append("a = " + ",".join(str(v) for v in profile.a))
+        lines.append("a = " + ",".join(results["a"]))
         if profile.monotone_report:
             note = (
                 "increase/positivity violated at n = "
@@ -191,6 +192,9 @@ def cmd_theta(args) -> dict:
     if args.verify_e2 and args.order < 2:
         # at order 1 only the constant 1/24 is compared, which proves nothing
         raise ValueError("E2 check needs order >= 2")
+    if args.verify_triple and args.order < 2:
+        # likewise the triple products agree at order 1 whatever they are
+        raise ValueError("triple-product check needs order >= 2")
     checks = []
     if args.verify_triple:
         for a, b in TRIPLE_PAIRS:

@@ -16,10 +16,11 @@ f_2 = 0, not -2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import factor, is_prime, primes_upto, smallest_prime_factors
+from .arith import is_prime, primes_upto, smallest_prime_factors
 from .errors import InternalIntegralityFailure, SingularCurve
 from .qseries import PowerSeries
 
@@ -74,17 +75,30 @@ def curve_from_quintuple(a) -> Curve:
     disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     if disc == 0:
         raise SingularCurve(f"quintuple {list(a)} defines a singular curve")
-    _reject_nonminimal(c4, disc)
+    _reject_nonminimal(c4, c6)
     return Curve(a1, a2, a3, a4, a6, b2, b4, b6, b8, c4, c6, disc)
 
 
-def _reject_nonminimal(c4: int, disc: int) -> None:
-    # cheap sanity check for p >= 5 only; 2 and 3 need Tate's algorithm
-    for p, e in factor(abs(disc)).factors:
-        if p >= 5 and e >= 12 and (c4 == 0 or c4 % p ** 4 == 0):
-            raise SingularCurve(
-                f"model is not minimal at p={p} (p^4 | c4 and p^12 | disc)"
-            )
+def _reject_nonminimal(c4: int, c6: int) -> None:
+    # cheap sanity check for p >= 5 only; 2 and 3 need Tate's algorithm.
+    # As 1728 disc = c4^3 - c6^2, for p >= 5 "p^4 | c4 and p^12 | disc" is
+    # "p^4 | c4 and p^6 | c6", which is p^12 | gcd(c4^3, c6^2)
+    g = math.gcd(c4 ** 3, c6 ** 2)
+    for p in (2, 3):
+        while g % p == 0:
+            g //= p
+    # trial division by d = 5, 7, 9, ...: each d that divides g is prime,
+    # as its prime factors were divided out before it
+    d = 5
+    while d ** 12 <= g:
+        if g % d == 0:
+            if g % d ** 12 == 0:
+                raise SingularCurve(
+                    f"model is not minimal at p={d} (p^4 | c4 and p^12 | disc)"
+                )
+            while g % d == 0:
+                g //= d
+        d += 2
 
 
 def count_points(c: Curve, p: int) -> int:

@@ -8,6 +8,13 @@ Extraction solves that recurrence for c and inverts the divisor sums by an
 in-place Moebius sieve; expansion sieves the divisor sums of g and runs the
 recurrence forwards.  A slower peel-off extraction is checked against this
 one in the tests.
+
+Both directions run the recurrence on the stride t of the input's support:
+the gcd of the positive indices where u, or g, is nonzero (the divisor sums
+c of g have the same stride as g).  Then u(q) = v(q^t), and c is zero off
+the t-grid with c_{t*m} = t * c^v_m, where c^v belongs to v; so the
+recurrence runs on v = u[::t], or on c[::t] // t, and a block on the t-grid
+costs (N/t)^2 multiplications, not N^2.
 """
 
 from __future__ import annotations
@@ -59,17 +66,35 @@ def _monic_unit_part(f: PowerSeries) -> PowerSeries:
     return PowerSeries(f.coeffs[1:])
 
 
+def _stride(seq) -> int:
+    """The gcd of the indices n >= 1 with seq[n] != 0; len(seq) if there are none."""
+    t = 0
+    for n in range(1, len(seq)):
+        if seq[n]:
+            t = math.gcd(t, n)
+            if t == 1:
+                break
+    return t or len(seq)
+
+
 def _logder_coefficients(u: PowerSeries) -> list:
     """c_1..c_{T-1} of q u'/u = -sum c_m q^m for u = 1 + O(q), T = order(u).
 
-    Solves n u_n = -sum_{k=1}^{n} c_k u_{n-k} for c_n, with no division.
-    Index 0 of the returned list is an unused 0.
+    Solves n u_n = -sum_{k=1}^{n} c_k u_{n-k} for c_n, with no division, on
+    v = u[::t] for the stride t of u; then c_{t*m} = t * c^v_m and c is zero
+    off the t-grid.  Index 0 of the returned list is an unused 0.
     """
     u = u.coeffs
-    c = [0] * len(u)
-    for n in range(1, len(u)):
-        c[n] = -n * u[n] - sum(map(mul, c[1:n], u[n - 1 : 0 : -1]))
-    return c
+    t = _stride(u)
+    v = u[::t] if t > 1 else u
+    c = [0] * len(v)
+    for n in range(1, len(v)):
+        c[n] = -n * v[n] - sum(map(mul, c[1:n], v[n - 1 : 0 : -1]))
+    if t == 1:
+        return c
+    spread = [0] * len(u)
+    spread[::t] = [t * x for x in c]
+    return spread
 
 
 def _divisor_sums(lam: list) -> list:
@@ -122,18 +147,27 @@ def unit_product(g: ExponentSequence, order: int) -> PowerSeries:
     """prod_{n < order} (1 - q^n)^{g_n} truncated to the given order.
 
     Runs the log-derivative recurrence forwards: c from the divisor sums of
-    g, then n u_n = -sum_{k=1}^{n} c_k u_{n-k}, dividing exactly by n.
+    g, then n u_n = -sum_{k=1}^{n} c_k u_{n-k}, dividing exactly by n.  For
+    the stride t of c it runs on c[::t] // t, which is exact, and spreads u
+    back onto the t-grid.
     """
     if order > g.upto + 1:
         raise PrecisionExceeded(
             f"product to order {order} needs exponents up to {order - 1}, have {g.upto}"
         )
     c = _divisor_sums([0, *g.g[: order - 1]])
-    u = [1] + [0] * (order - 1)
-    for n in range(1, order):
+    t = _stride(c)
+    if t > 1:
+        c = [v // t for v in c[::t]]
+    u = [1] + [0] * (len(c) - 1)
+    for n in range(1, len(c)):
         u[n], rem = divmod(-sum(map(mul, c[1 : n + 1], u[n - 1 :: -1])), n)
         if rem:
-            raise InternalIntegralityFailure(f"product coefficient q^{n} not integral")
+            raise InternalIntegralityFailure(f"product coefficient q^{t * n} not integral")
+    if t > 1:
+        spread = [0] * order
+        spread[::t] = u
+        u = spread
     return PowerSeries(tuple(u))
 
 

@@ -5,9 +5,10 @@ that shares none of its algorithm.
 """
 
 import math
+from operator import mul
 
-from newform_products.arith import legendre
-from newform_products.errors import InternalIntegralityFailure
+from newform_products.arith import factor, legendre
+from newform_products.errors import InternalIntegralityFailure, SingularCurve
 from newform_products.products import ExponentSequence, _monic_unit_part
 from newform_products.qseries import PowerSeries
 from newform_products.theta import MonomialArg, _as_power_series, theta_sum
@@ -43,6 +44,26 @@ def count_points_legendre(c, p: int) -> int:
         d = (c.a1 * x + c.a3) ** 2 + 4 * (x ** 3 + c.a2 * x * x + c.a4 * x + c.a6)
         n += legendre(d, p)
     return n
+
+
+def reject_nonminimal_by_factoring(c4: int, disc: int) -> None:
+    """Raise SingularCurve at the smallest p >= 5 with p^4 | c4 and p^12 | disc,
+    found by factoring the whole |disc|."""
+    for p, e in factor(abs(disc)).factors:
+        if p >= 5 and e >= 12 and (c4 == 0 or c4 % p ** 4 == 0):
+            raise SingularCurve(
+                f"model is not minimal at p={p} (p^4 | c4 and p^12 | disc)"
+            )
+
+
+def logder_coefficients_dense(u: PowerSeries) -> list:
+    """c_1..c_{T-1} of q u'/u = -sum c_m q^m for u = 1 + O(q), by the recurrence
+    n u_n = -sum_{k=1}^{n} c_k u_{n-k} over every index; index 0 is an unused 0."""
+    u = u.coeffs
+    c = [0] * len(u)
+    for n in range(1, len(u)):
+        c[n] = -n * u[n] - sum(map(mul, c[1:n], u[n - 1 : 0 : -1]))
+    return c
 
 
 def extract_exponents_peeling(f: PowerSeries) -> ExponentSequence:

@@ -55,6 +55,13 @@ class TestAn:
         assert json.loads(text)["results"]["coefficients"] == [
             "1", "-1", "-2", "1", "0", "2", "1", "-1", "1", "0", "0", "-2", "-4"]
 
+    def test_large_discriminant_returns(self):
+        # the minimality check must not factor this ~38-digit discriminant
+        code, text = run("an", "--curve", "0,0,0,1000000000039,1000000000061",
+                         "--order", "5")
+        assert code == EXIT_OK
+        assert text.startswith("f_1 = 1\n") and text.count("\n") == 4
+
 
 class TestExponents:
     def test_block_inference_shown(self):
@@ -131,6 +138,18 @@ class TestTheta:
         code, text = run("theta", "--verify-e2", "--order", "2")
         assert code == EXIT_OK
         assert "ok    E2 logarithmic-derivative identity" in text
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_triple_order_below_2_exit_2(self, order, capsys):
+        # order 1 compares only the constant term
+        code, text = run("theta", "--verify-triple", "--order", str(order))
+        assert code == EXIT_USAGE and text == ""
+        assert "triple-product check needs order >= 2" in capsys.readouterr().err
+
+    def test_triple_minimum_order_accepted(self):
+        code, text = run("theta", "--verify-triple", "--order", "2")
+        assert code == EXIT_OK
+        assert text.count("ok    triple-product") == 5
 
 
 class TestSearch:

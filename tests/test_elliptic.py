@@ -24,7 +24,7 @@ from newform_products.errors import InternalIntegralityFailure, SingularCurve
 from newform_products.eta import EtaQuotient, eta_quotient_series
 from newform_products.registry import builtin_table1
 
-from oracles import count_points_legendre, count_points_naive
+from oracles import count_points_legendre, count_points_naive, reject_nonminimal_by_factoring
 
 ALL_CURVES = [c for rec in builtin_table1() for c in rec.curves]
 
@@ -70,12 +70,7 @@ COUNTING_MODELS = list(dict.fromkeys(
 
 
 def _wide_curves(count, seed=4096):
-    """Seeded random curves, every other one with |a4|, |a6| ~ 10^12.
-
-    Call with the minimality check patched out: its trial division of a
-    disc of ~40 digits would not end, and point counting needs no minimal
-    model.
-    """
+    """Seeded random curves, every other one with |a4|, |a6| ~ 10^12."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -110,6 +105,73 @@ class TestInvariants:
             curve_from_quintuple((1, 0, 0, 0, 0))
 
 
+def _rescaled(quint, u):
+    """The model with a_i replaced by u^i a_i (non-minimal at every p | u)."""
+    return tuple(a * u ** i for a, i in zip(quint, (1, 2, 3, 4, 6)))
+
+
+class TestMinimality:
+    @pytest.mark.parametrize(
+        "quint, p",
+        [
+            ((0, 0, 125, -625, 0), 5),  # 37a at u = 5
+            ((0, 49, 343, 0, 0), 7),  # 43a at u = 7
+            (_rescaled((0, 1, 1, 0, 0), 35), 5),  # the smallest p is named
+        ],
+    )
+    def test_rescaled_table_curve_rejected(self, quint, p):
+        with pytest.raises(SingularCurve, match=f"not minimal at p={p} "):
+            curve_from_quintuple(quint)
+
+    def test_large_prime_discriminant_accepted(self):
+        # gcd(c4^3, c6^2) = 27648 < 5^12, so no prime is tried on the
+        # ~38-digit disc
+        c = curve_from_quintuple((0, 0, 0, 1000000000039, 1000000000061))
+        assert math.gcd(c.c4 ** 3, c.c6 ** 2) == 27648
+
+    @pytest.mark.parametrize(
+        "quint", [(0, 0, 0, 0, 2 ** 200), (0, 0, 0, 2 ** 140, 0), (0, 0, 0, 0, 3 ** 150)]
+    )
+    def test_large_2_or_3_part_accepted(self, quint):
+        # the 2s and 3s of gcd(c4^3, c6^2) are divided out before any
+        # trial division, so their size costs nothing
+        curve_from_quintuple(quint)
+
+    def test_large_5_part_rejected_at_5(self):
+        with pytest.raises(SingularCurve, match="not minimal at p=5 "):
+            curve_from_quintuple((0, 0, 0, 0, 5 ** 120))
+
+    def test_agrees_with_factoring_rule(self, monkeypatch):
+        rng = random.Random(2718)
+        rules = {"parent": [], "gcd": []}
+        while len(rules["parent"]) < 300:
+            quint = _rescaled(
+                [rng.randint(-9, 9) for _ in range(5)], rng.choice((1, 1, 2, 3, 5, 6, 7, 10))
+            )
+            with monkeypatch.context() as m:
+                m.setattr(elliptic, "_reject_nonminimal", lambda c4, c6: None)
+                try:
+                    c = curve_from_quintuple(quint)
+                except SingularCurve:
+                    continue
+            for name, rule, args in (
+                ("parent", reject_nonminimal_by_factoring, (c.c4, c.disc)),
+                ("gcd", elliptic._reject_nonminimal, (c.c4, c.c6)),
+            ):
+                try:
+                    rule(*args)
+                    rules[name].append(None)
+                except SingularCurve as e:
+                    rules[name].append(str(e))
+        assert rules["gcd"] == rules["parent"]
+        # both branches are compared, at p = 5 and at p = 7
+        assert {v for v in rules["parent"] if v} >= {
+            "model is not minimal at p=5 (p^4 | c4 and p^12 | disc)",
+            "model is not minimal at p=7 (p^4 | c4 and p^12 | disc)",
+        }
+        assert rules["parent"].count(None) > 100
+
+
 class TestCounting:
     def test_char_sum_matches_naive(self):
         # exhaustive double loop as independent oracle
@@ -125,9 +187,8 @@ class TestCounting:
         for p in primes_upto(2999)[1:]:
             assert count_points(c, p) == count_points_legendre(c, p), p
 
-    def test_equals_naive_on_wide_coefficients(self, monkeypatch):
+    def test_equals_naive_on_wide_coefficients(self):
         # |a4|, |a6| ~ 10^12 exercise the mod-p reduction of the differences
-        monkeypatch.setattr(elliptic, "_reject_nonminimal", lambda c4, disc: None)
         for c in _wide_curves(40):
             for p in primes_upto(59):
                 assert count_points(c, p) == count_points_naive(c, p), (c, p)

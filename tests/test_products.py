@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from newform_products import products
 from newform_products.elliptic import an_expansion, curve_from_quintuple
 from newform_products.errors import NonMonicSeries, PrecisionExceeded
 from newform_products.products import (
     ExponentSequence,
+    _logder_coefficients,
     block_profile,
     extract_exponents,
     generalized_logder_check,
@@ -18,8 +20,14 @@ from newform_products.products import (
 )
 from newform_products.qseries import PowerSeries
 from newform_products.registry import builtin_table1, record_for
+from newform_products.theta import ETA256_CURVE
 
-from oracles import binomial, extract_exponents_peeling, q_d_dq
+from oracles import (
+    binomial,
+    extract_exponents_peeling,
+    logder_coefficients_dense,
+    q_d_dq,
+)
 
 
 def f37(order: int) -> PowerSeries:
@@ -183,6 +191,19 @@ class TestKernelDifferential:
                 )
                 assert unit_product(g, 60) == binomial_product(g, 60)
 
+    def test_unit_product_on_grid_keeps_length_and_zeros(self):
+        # run on c[::t] and spread back: full length, zero off the t-grid
+        rng = random.Random(34)
+        for t in (2, 3, 4, 6):
+            for order in (t * 9, t * 9 + 1, t * 9 + t - 1):
+                g = ExponentSequence(
+                    tuple(rng.randint(-50, 50) if n % t == 0 else 0 for n in range(1, order))
+                )
+                u = unit_product(g, order)
+                assert u.order == order
+                assert all(u.coeffs[n] == 0 for n in range(order) if n % t)
+                assert u == binomial_product(g, order)
+
     def test_random_monic_series(self):
         rng = random.Random(33)
         for _ in range(30):
@@ -204,3 +225,55 @@ class TestKernelDifferential:
             a[j - 1] += 1
             ok, where = generalized_logder_check([(tuple(a), 1, 2)], f, 26)
             assert not ok and where == 2 * j
+
+
+def _against_dense_oracle(f: PowerSeries):
+    u = PowerSeries(f.coeffs[1:])
+    c = logder_coefficients_dense(u)
+    assert _logder_coefficients(u) == c
+    assert log_derivative_quotient(f).coeffs == (1,) + tuple(-v for v in c[1:])
+    assert extract_exponents(f).g == extract_exponents_peeling(f).g
+
+
+class TestStridedKernel:
+    """Series in q^t run the kernel on the t-grid; the dense loop is the oracle."""
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 6])
+    def test_random_series_in_q_t(self, t):
+        rng = random.Random(40 + t)
+        for _ in range(10):
+            length = t * rng.randint(1, 8) + rng.randint(1, t - 1)  # not a multiple of t
+            coeffs = [0] * (length + 1)
+            coeffs[1] = 1
+            for m in range(1, (length - 1) // t + 1):
+                coeffs[1 + t * m] = rng.randint(-50, 50)
+            _against_dense_oracle(PowerSeries(tuple(coeffs)))
+
+    def test_all_zero_tail(self):
+        for length in (2, 3, 7):
+            f = PowerSeries.from_terms({1: 1}, length)
+            _against_dense_oracle(f)
+            assert extract_exponents(f).g == (0,) * (length - 2)
+
+    @pytest.mark.parametrize("conductor", [36, 88, 92, 243, 256, 288, 675, 2304])
+    def test_table_rows_on_their_grid(self, conductor):
+        rec = record_for(conductor)
+        assert rec.t_check > 1
+        f = an_expansion(curve_from_quintuple(rec.curves[0]), rec.t_check * 60 + 2)
+        _against_dense_oracle(f)
+
+    def test_eta256_extraction_runs_on_the_grid(self, monkeypatch):
+        # the conductor-256 series lives on q^(4n+1): the dense loop would make
+        # about 80,000 multiplications at this order, the strided one 4,950
+        calls = 0
+
+        def counting_mul(a, b):
+            nonlocal calls
+            calls += 1
+            return a * b
+
+        f = an_expansion(curve_from_quintuple(ETA256_CURVE), 4 * 100 + 2)
+        monkeypatch.setattr(products, "mul", counting_mul)
+        g = extract_exponents(f)
+        assert calls <= 102 ** 2 // 2
+        assert infer_block(g) == (1, 4)
