@@ -1,7 +1,7 @@
 """Exact integer number theory: factorization, prime sieves, divisors, Legendre symbol.
 
-The Legendre symbol is a public export; the library itself counts points
-from a table of squares (see `elliptic.count_points`).
+The Legendre symbol is a public export; the library itself does not call
+it when it counts points (see `elliptic.count_points`).
 
 Everything here is pure and exact; inputs stay small (trial division is
 deliberate, see the size notes on each function).

@@ -492,6 +492,10 @@ def main(argv=None, out=None) -> int:
     except (NewformError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("error: not enough memory for this input; try a smaller --order",
+              file=sys.stderr)
+        return EXIT_USAGE
     _emit(doc, args.format, out)
     return _status_exit(doc)
 

@@ -3,7 +3,15 @@
 At every prime p, a_p = p + 1 - #E~(F_p), where E~ is the reduction of the
 model mod p and the count includes its singular point if it has one.  On a
 model minimal at p this gives a_p at good p and 1, -1, 0 at split,
-nonsplit, additive p.  At odd p the count reads a table of squares mod p
+nonsplit, additive p.  The count has two regimes.  At a good p > 229 it is
+found by Shanks-Mestre baby-step/giant-step on points of E and of its
+quadratic twist, in O(p^(1/4)) group operations per point: Mestre's
+theorem makes #E(F_p) the one value in the Hasse interval that those point
+orders allow for every p > 229 (Cohen, "A Course in Computational Algebraic
+Number Theory", GTM 138, section 7.4.3; Schoof, "Counting points on
+elliptic curves over finite fields", J. Theor. Nombres Bordeaux 7 (1995)).
+At p <= 229, where the theorem does not hold, and at bad p, where the
+singular point must be counted, the count reads a table of squares mod p
 along the completed-square cubic, which is stepped by finite differences.
 The coefficient sequence f_n follows from the a_p by the Hecke recurrence
 at prime powers and multiplicativity, filled from a smallest-prime-factor
@@ -28,6 +36,11 @@ GOOD = "good"
 MULT_SPLIT = "multiplicative_split"
 MULT_NONSPLIT = "multiplicative_nonsplit"
 ADDITIVE = "additive"
+
+# Mestre's theorem: for p > 229, E or its quadratic twist over F_p has a
+# point whose order has one multiple in the Hasse interval (Cohen, GTM 138,
+# section 7.4.3), so baby-step/giant-step pins #E(F_p) at every good p above it
+_MESTRE_BOUND = 229
 
 
 @dataclass(frozen=True)
@@ -104,11 +117,17 @@ def _reject_nonminimal(c4: int, c6: int) -> None:
 def count_points(c: Curve, p: int) -> int:
     """#E~(F_p): affine solutions mod p, a singular one included, plus infinity.
 
-    p = 2: exhaustive.  Odd p: completing the square turns the model into
+    p = 2: exhaustive.  Good p > 229: Shanks-Mestre, see `_count_bsgs`.
+    Other odd p: completing the square turns the model into
     y^2 = d(x) = 4x^3 + b2*x^2 + 2*b4*x + b6, so the count is 1 plus the sum
     over x of the number of square roots of d(x) mod p.  Those are read from
     a table of squares mod p; d(x) mod p is stepped by its forward
-    differences, with no pow and no % per x.
+    differences, with no pow and no % per x.  The table count is kept where
+    Mestre's theorem does not apply (p <= 229) and where the singular point
+    must be counted (p | disc); both are cheap or rare.  References: Cohen,
+    "A Course in Computational Algebraic Number Theory", GTM 138, section
+    7.4.3; Schoof, "Counting points on elliptic curves over finite fields",
+    J. Theor. Nombres Bordeaux 7 (1995).
     """
     if not is_prime(p):
         raise ValueError(f"count_points needs a prime, got {p}")
@@ -120,6 +139,8 @@ def count_points(c: Curve, p: int) -> int:
             if (y * y + c.a1 * x * y + c.a3 * y - (x ** 3 + c.a2 * x * x + c.a4 * x + c.a6)) % 2
             == 0
         )
+    if p > _MESTRE_BOUND and c.disc % p:
+        return _count_bsgs(-27 * c.c4 % p, -54 * c.c6 % p, p)
     roots = bytearray(p)  # roots[v] = #{y mod p : y^2 = v}
     roots[0] = 1
     for y in range(1, p // 2 + 1):
@@ -141,6 +162,80 @@ def count_points(c: Curve, p: int) -> int:
     return n
 
 
+def _count_bsgs(A: int, B: int, p: int) -> int:
+    """#E(F_p) for the short model E: y^2 = x^3 + A*x + B, good at p > 229.
+
+    For each x0 with f = x0^3 + A*x0 + B != 0, P = (x0*f, f^2) lies on
+    y^2 = x^3 + A*f^2*x + B*f^3, which is E if f is a square mod p and its
+    quadratic twist otherwise; a twist count m stands for 2p + 2 - m on E.
+    Every m in the Hasse interval with [m]P = O is found by baby steps
+    j*P, j < s, and giant steps of s*P from [lo]P.  The candidates are
+    intersected over x0 until one is left.
+    """
+    w = math.isqrt(4 * p)
+    lo, hi = p + 1 - w, p + 1 + w
+    s = math.isqrt(2 * w) + 1
+    left = None
+    for x0 in range(p):
+        f = (x0 * x0 * x0 + A * x0 + B) % p
+        if f == 0:
+            continue
+        a = A * f * f % p
+        P = (x0 * f % p, f * f % p)
+        # keys are -j*P, so that [lo + i*s]P = -j*P gives m = lo + i*s + j
+        baby, R = {None: 0}, None
+        for j in range(1, s):
+            R = _point_add(R, P, a, p)
+            if R is None:  # the order of P is j
+                found = set(range(-(-lo // j) * j, hi + 1, j))
+                break
+            baby[(R[0], -R[1] % p)] = j
+        else:
+            G = _point_add(R, P, a, p)  # s*P
+            found = set()
+            R = _point_mul(lo, P, a, p)
+            for i in range(lo, hi + 1, s):
+                j = baby.get(R)
+                if j is not None and i + j <= hi:
+                    found.add(i + j)
+                R = _point_add(R, G, a, p)
+        if pow(f, (p - 1) // 2, p) != 1:
+            found = {2 * p + 2 - m for m in found}
+        left = found if left is None else left & found
+        if len(left) == 1:
+            return left.pop()
+    raise InternalIntegralityFailure(
+        f"baby-step/giant-step left {sorted(left or ())} as #E(F_{p}) candidates"
+    )
+
+
+def _point_add(P, Q, a: int, p: int):
+    """P + Q on y^2 = x^3 + a*x + b over F_p; None is the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _point_mul(k: int, P, a: int, p: int):
+    """[k]P for k >= 0 by double-and-add."""
+    R = None
+    for bit in bin(k)[2:]:
+        R = _point_add(R, R, a, p)
+        if bit == "1":
+            R = _point_add(R, P, a, p)
+    return R
+
+
 def reduction_at(c: Curve, p: int) -> ReductionInfo:
     """Reduction type and a_p = p + 1 - #E~(F_p) at prime p.
 
@@ -158,8 +253,8 @@ def reduction_at(c: Curve, p: int) -> ReductionInfo:
 
 
 @lru_cache(maxsize=None)
-def _cached_reduction(quintuple: tuple, p: int) -> ReductionInfo:
-    return reduction_at(curve_from_quintuple(quintuple), p)
+def _cached_reduction(c: Curve, p: int) -> ReductionInfo:
+    return reduction_at(c, p)
 
 
 def an_expansion(c: Curve, order: int) -> PowerSeries:
@@ -175,7 +270,7 @@ def an_expansion(c: Curve, order: int) -> PowerSeries:
     f = [0] * order
     f[1] = 1
     for p in primes_upto(order - 1):
-        ap = _cached_reduction(c.quintuple, p).ap
+        ap = _cached_reduction(c, p).ap
         good_p = p if c.disc % p else 0
         pk, prev, prev2 = p, 1, 0  # f_{p^{k-1}}, f_{p^{k-2}}
         while pk < order:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from newform_products import cli
 from newform_products.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -61,6 +62,17 @@ class TestAn:
                          "--order", "5")
         assert code == EXIT_OK
         assert text.startswith("f_1 = 1\n") and text.count("\n") == 4
+
+    def test_out_of_memory_exit_2(self, monkeypatch, capsys):
+        # an --order too large for memory is a usage error, not a traceback;
+        # the expansion is replaced, so nothing large is allocated
+        def no_memory(curve, order):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "an_expansion", no_memory)
+        code, text = run("an", "--curve", "0,0,0,0,1", "--order", "100000000000")
+        assert code == EXIT_USAGE and text == ""
+        assert capsys.readouterr().err.startswith("error: not enough memory")
 
 
 class TestExponents:

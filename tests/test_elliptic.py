@@ -193,6 +193,47 @@ class TestCounting:
             for p in primes_upto(59):
                 assert count_points(c, p) == count_points_naive(c, p), (c, p)
 
+    @pytest.mark.parametrize("p", [233, 239, 307, 499, 797, 1201, 2003, 4001])
+    def test_equals_legendre_on_wide_coefficients_above_bound(self, p):
+        # baby-step/giant-step on the short model, from wide c4 and c6
+        for c in _wide_curves(40):
+            assert count_points(c, p) == count_points_legendre(c, p), (c, p)
+
+    def test_bad_prime_above_bound(self):
+        # 389a: p = 389 > 229 divides disc, so the singular point is counted
+        c = curve_from_quintuple((0, 1, 1, -2, 0))
+        assert c.disc % 389 == 0
+        assert count_points(c, 389) == count_points_legendre(c, 389)
+        assert reduction_at(c, 389).kind in (MULT_SPLIT, MULT_NONSPLIT)
+
+    def test_group_operations_bounded(self, monkeypatch):
+        # O(p^(1/4)) group operations per count, not a loop over x
+        calls = []
+        add = elliptic._point_add
+
+        def counted(*args):
+            calls.append(1)
+            return add(*args)
+
+        monkeypatch.setattr(elliptic, "_point_add", counted)
+        p = 1_000_003
+        ap = p + 1 - count_points(curve_from_quintuple((0, 0, 1, -1, 0)), p)
+        assert 0 < len(calls) <= 1000
+        assert ap * ap <= 4 * p
+
+    def test_equals_legendre_at_100003(self):
+        c = curve_from_quintuple((0, 0, 1, -1, 0))
+        assert count_points(c, 100_003) == count_points_legendre(c, 100_003)
+
+    def test_ambiguous_below_bound_raises(self, monkeypatch):
+        # below Mestre's bound the point orders need not pin the count: on
+        # 389a at p = 11 both 8 and 16 are left, so the table count is kept
+        c = curve_from_quintuple((0, 1, 1, -2, 0))
+        assert count_points_legendre(c, 11) in (8, 16)
+        monkeypatch.setattr(elliptic, "_MESTRE_BOUND", 3)
+        with pytest.raises(InternalIntegralityFailure, match=r"left \[8, 16\]"):
+            count_points(c, 11)
+
     def test_no_legendre_call(self, monkeypatch):
         # the per-x Legendre route must not come back
         def boom(a, p):
@@ -312,6 +353,17 @@ class TestExpansion:
                     prev2, prev = prev, f[p] * prev - (p if c.disc % p else 0) * prev2
                 v *= prev
             assert f[n] == v, n
+
+    def test_curve_validated_once(self, monkeypatch):
+        # the reduction cache is keyed on the Curve, so no prime re-runs
+        # curve_from_quintuple and its minimality check
+        c = curve_from_quintuple((0, 0, 0, 0, 10**30 + 57))
+        calls = []
+        monkeypatch.setattr(elliptic, "_reject_nonminimal", lambda c4, c6: calls.append(1))
+        monkeypatch.setattr(elliptic, "_cached_reduction", functools.lru_cache(
+            elliptic._cached_reduction.__wrapped__))
+        f = an_expansion(c, 300)
+        assert calls == [] and f.coeffs[1] == 1
 
     def test_bad_prime_powers(self):
         c = curve_from_quintuple((0, 0, 1, -1, 0))  # multiplicative at 37
