@@ -3,8 +3,9 @@
 The Legendre symbol is a public export; the library itself does not call
 it when it counts points (see `elliptic.count_points`).
 
-Everything here is pure and exact; inputs stay small (trial division is
-deliberate, see the size notes on each function).
+Everything here is pure and exact.  `factor` trial-divides, so its inputs
+stay small (see its size note); `is_prime` is a Miller-Rabin test that is
+deterministic below 3.3 * 10^24 and factors only above that.
 """
 
 from __future__ import annotations
@@ -54,11 +55,51 @@ def factor(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
+# (n_max, k): the first k primes are a deterministic set of Miller-Rabin
+# bases for every n < n_max (Jaeschke 1993; Sorenson and Webster 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUNDS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+
+
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin below 3.3 * 10^24, with the base set chosen by
+    the size of n; trial division (`factor`) above that."""
     if n < 2:
         return False
-    f = factor(n).factors
-    return len(f) == 1 and f[0][1] == 1
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    for n_max, k in _MR_BOUNDS:
+        if n < n_max:
+            break
+    else:
+        f = factor(n).factors
+        return len(f) == 1 and f[0][1] == 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES[:k]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def primes_upto(limit: int) -> list[int]:

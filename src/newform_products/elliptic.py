@@ -16,7 +16,9 @@ along the completed-square cubic, which is stepped by finite differences.
 The coefficient sequence f_n follows from the a_p by the Hecke recurrence
 at prime powers and multiplicativity, filled from a smallest-prime-factor
 sieve.  Input models must be globally minimal.  A sanity check rejects
-obviously non-minimal models at primes >= 5; minimality at 2 and 3 is not
+obviously non-minimal models at primes >= 5 by trial division up to 10^6,
+and refuses (ValueError) a model whose gcd(c4^3, c6^2) keeps a factor it
+cannot decide within that bound; minimality at 2 and 3 is not
 checked, and a model that is not minimal there gives wrong f_n without an
 error (for example [0,0,8,-16,0], which is 37a rescaled by u = 2, gives
 f_2 = 0, not -2).
@@ -92,6 +94,11 @@ def curve_from_quintuple(a) -> Curve:
     return Curve(a1, a2, a3, a4, a6, b2, b4, b6, b8, c4, c6, disc)
 
 
+# Trial divisors of gcd(c4^3, c6^2) stop here, so every gcd below
+# (10^6)^12 = 10^72 is decided exactly and no input makes the check run long.
+_MINIMALITY_TRIAL_BOUND = 10 ** 6
+
+
 def _reject_nonminimal(c4: int, c6: int) -> None:
     # cheap sanity check for p >= 5 only; 2 and 3 need Tate's algorithm.
     # As 1728 disc = c4^3 - c6^2, for p >= 5 "p^4 | c4 and p^12 | disc" is
@@ -101,9 +108,16 @@ def _reject_nonminimal(c4: int, c6: int) -> None:
         while g % p == 0:
             g //= p
     # trial division by d = 5, 7, 9, ...: each d that divides g is prime,
-    # as its prime factors were divided out before it
+    # as its prime factors were divided out before it.  Past the bound, a
+    # p^12 dividing g could only have p > bound, which is left undecided.
     d = 5
     while d ** 12 <= g:
+        if d > _MINIMALITY_TRIAL_BOUND:
+            raise ValueError(
+                f"cannot decide minimality: gcd(c4^3, c6^2) keeps a {g.bit_length()}-bit "
+                f"cofactor with no prime factor up to the trial-division bound "
+                f"{_MINIMALITY_TRIAL_BOUND}"
+            )
         if g % d == 0:
             if g % d ** 12 == 0:
                 raise SingularCurve(

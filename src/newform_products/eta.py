@@ -91,11 +91,11 @@ def e2_series(order: int) -> PowerSeries:
     """E2 = 1/24 - sum sigma_1(n) q^n, exact; only the constant is rational."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    c = [Fraction(0)] * order
-    c[0] = Fraction(1, 24)
+    c = [0] * order
     for d in range(1, order):
         for m in range(d, order, d):
             c[m] -= d
+    c[0] = Fraction(1, 24)
     return PowerSeries(tuple(c))
 
 

@@ -30,7 +30,7 @@ from .errors import (
     PrecisionExceeded,
     ZeroSequence,
 )
-from .qseries import PowerSeries
+from .qseries import PowerSeries, _stride
 
 
 @dataclass(frozen=True)
@@ -64,17 +64,6 @@ def _monic_unit_part(f: PowerSeries) -> PowerSeries:
     if f.coeffs[0] != 0 or f.order < 2 or f.coeffs[1] != 1:
         raise NonMonicSeries("series must have shape q + O(q^2)")
     return PowerSeries(f.coeffs[1:])
-
-
-def _stride(seq) -> int:
-    """The gcd of the indices n >= 1 with seq[n] != 0; len(seq) if there are none."""
-    t = 0
-    for n in range(1, len(seq)):
-        if seq[n]:
-            t = math.gcd(t, n)
-            if t == 1:
-                break
-    return t or len(seq)
 
 
 def _logder_coefficients(u: PowerSeries) -> list:

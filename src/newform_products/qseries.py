@@ -9,6 +9,19 @@ justify.  Inversion needs constant term +1 or -1.
 A FracSeries represents q^(offset/denom) * S(q^(1/denom)).  It is kept in a
 normal form (leading coefficient of S nonzero, gcd of denom/offset/support
 stride reduced out) so that equal values have equal representations.
+
+Every series product is one product of two Python ints (Kronecker
+substitution; Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", J. Symbolic Comput. 44 (2009)).  Both operands are
+first compressed by the common stride t of their supports, so a(q^t) b(q^t)
+costs a product of length T/t.  Each coefficient list is packed into one
+int, in slots wide enough that no coefficient of the product overflows its
+slot; CPython multiplies the two ints in C (Karatsuba), and the product's
+slots are read back from its bytes.  The inverse runs Newton's iteration
+h <- h (2 - a h), doubling the known length each step, on the same packed
+product (von zur Gathen and Gerhard, "Modern Computer Algebra", section
+9.1).  `frac_equal_to` lays both series out on their common q^(1/d) grid
+and compares integer-indexed lists.
 """
 
 from __future__ import annotations
@@ -16,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, islice
 
 from .errors import IncompatibleExponent, NonUnitConstantTerm, PrecisionExceeded
 
@@ -73,38 +87,29 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         T = min(self.order, other.order)
-        out = [0] * T
-        a_items = self.nonzero_items()
-        b_items = other.nonzero_items()
-        if len(b_items) < len(a_items):
-            a_items, b_items = b_items, a_items
-        for i, ci in a_items:
-            if i >= T:
-                break
-            for j, cj in b_items:
-                k = i + j
-                if k >= T:
-                    break
-                out[k] += ci * cj
-        return PowerSeries(tuple(out))
+        t = math.gcd(_stride(self.coeffs[:T]), _stride(other.coeffs[:T]))
+        a = self.coeffs[:T:t]
+        b = a if other is self else other.coeffs[:T:t]
+        return PowerSeries(_spread(_packed_product(a, b, len(a)), t, T))
 
     def inverse(self) -> "PowerSeries":
-        """Multiplicative inverse at the same order; needs constant term +-1."""
+        """Multiplicative inverse at the same order; needs constant term +-1.
+
+        Newton's iteration h <- h + h (1 - a h) doubles the known length of
+        h each step, on a = self[::t] for the stride t of the support.
+        """
         c0 = self.coeffs[0]
         if c0 not in (1, -1):
             raise NonUnitConstantTerm(f"series needs constant term +-1, got {c0}")
-        T = self.order
-        out = [0] * T
-        out[0] = c0
-        items = [(i, c) for i, c in enumerate(self.coeffs) if c != 0 and i > 0]
-        for n in range(1, T):
-            s = 0
-            for i, c in items:
-                if i > n:
-                    break
-                s += c * out[n - i]
-            out[n] = -c0 * s
-        return PowerSeries(tuple(out))
+        t = _stride(self.coeffs)
+        a = self.coeffs[::t]
+        h = [c0]
+        while len(h) < len(a):
+            n = min(2 * len(h), len(a))
+            # a h = 1 + q^len(h) r, so h (1 - a h) = -q^len(h) h r
+            r = _packed_product(a[:n], h, n)[len(h) :]
+            h += [-x for x in _packed_product(h, r, len(r))]
+        return PowerSeries(_spread(h, t, self.order))
 
     def pow_int(self, g: int) -> "PowerSeries":
         """A^g at the same order by square-and-multiply; g < 0 inverts first."""
@@ -140,6 +145,65 @@ class PowerSeries:
         parts = [f"{c}*q^{n}" for n, c in self.nonzero_items()[:8]]
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(q^{self.order})"
+
+
+def _stride(seq) -> int:
+    """The gcd of the indices n >= 1 with seq[n] != 0; len(seq) if there are none."""
+    return math.gcd(*compress(range(1, len(seq)), islice(seq, 1, None))) or len(seq)
+
+
+def _spread(c, t: int, order: int) -> tuple:
+    """The series c(q^t) to the given order, for len(c) = ceil(order / t)."""
+    if t == 1:
+        return tuple(c)
+    out = [0] * order
+    out[::t] = c
+    return tuple(out)
+
+
+def _packed_product(a, b, n: int) -> list:
+    """The first n coefficients of a(q) b(q), for coefficient sequences a and b.
+
+    Kronecker substitution: with slots of w bytes, where 2^(8w-1) exceeds
+    max|a| * max|b| * min(len a, len b) and so every product coefficient,
+    each sequence becomes the one int sum a_i 2^(8wi), and the two ints are
+    multiplied once.  Adding 2^(8w-1) to every slot of the product makes
+    each slot a nonnegative byte string, read back from `to_bytes`.  Rational
+    coefficients are cleared to a common denominator first.
+    """
+    a, b = a[:n], b[:n]
+    try:
+        return _kronecker(a, b, n)
+    except AttributeError:  # a Fraction coefficient has no bit_length/to_bytes
+        da = math.lcm(*(c.denominator for c in a))
+        db = math.lcm(*(c.denominator for c in b))
+        a = [c.numerator * (da // c.denominator) for c in a]
+        b = [c.numerator * (db // c.denominator) for c in b]
+        return [Fraction(c, da * db) for c in _kronecker(a, b, n)]
+
+
+def _kronecker(a, b, n: int) -> list:
+    bits = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+    )
+    w = bits // 8 + 1
+    half = 1 << (8 * w - 1)
+    slot = bytes(w - 1) + b"\x80"  # half, little-endian
+    x = _pack(a, w, half, slot)
+    y = x if b is a else _pack(b, w, half, slot)
+    m = min(n, len(a) + len(b) - 1)
+    packed = (x * y + int.from_bytes(slot * m, "little")) & ((1 << (8 * w * m)) - 1)
+    raw = packed.to_bytes(w * m, "little")
+    out = [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * m, w)]
+    return out + [0] * (n - m)
+
+
+def _pack(c, w: int, half: int, slot: bytes) -> int:
+    """sum c_i 2^(8wi) for |c_i| < half = 2^(8w-1), via one offset byte string."""
+    raw = b"".join([(v + half).to_bytes(w, "little") for v in c])
+    return int.from_bytes(raw, "little") - int.from_bytes(slot * len(c), "little")
 
 
 @dataclass(frozen=True)
@@ -194,28 +258,19 @@ class FracSeries:
 
 
 def _normalize(denom: int, offset: int, series: PowerSeries) -> FracSeries:
-    items = series.nonzero_items()
-    if not items:
+    c = series.coeffs
+    lead = next(compress(count(), c), None)
+    if lead is None:
         # canonical zero: integer grid, offset 0, order preserved conservatively
         return FracSeries(1, 0, PowerSeries.zero(max(1, series.order // denom)))
-    lead = items[0][0]
     if lead:
         offset += lead
-        series = PowerSeries(series.coeffs[lead:])
-        items = [(k - lead, c) for k, c in items]
-    g = denom
-    g = math.gcd(g, offset)
-    for k, _ in items:
-        g = math.gcd(g, k)
-        if g == 1:
-            break
+        c = c[lead:]
+        series = PowerSeries(c)
+    g = math.gcd(denom, offset, *compress(range(len(c)), c))
     if g > 1:
-        order = max(1, series.order // g)
-        out = [0] * order
-        for k, c in items:
-            if k // g < order:
-                out[k // g] = c
-        return FracSeries(denom // g, offset // g, PowerSeries(tuple(out)))
+        order = max(1, len(c) // g)
+        return FracSeries(denom // g, offset // g, PowerSeries(c[: order * g : g]))
     return FracSeries(denom, offset, series)
 
 
@@ -229,8 +284,7 @@ def _regrid(a: FracSeries, denom: int) -> FracSeries:
     if s == 1:
         return a
     out = [0] * (a.series.order * s)
-    for k, c in a.series.nonzero_items():
-        out[k * s] = c
+    out[::s] = a.series.coeffs
     # bypass normalization: this is an internal non-canonical widening
     return FracSeries(denom, a.offset * s, PowerSeries(tuple(out)))
 
@@ -292,19 +346,33 @@ def frac_shift(a: FracSeries, exponent) -> FracSeries:
 
 
 def frac_equal_to(a: FracSeries, b: FracSeries, bound) -> tuple[bool, Fraction | None]:
-    """Compare all coefficients at exponents < bound; returns (ok, first mismatch)."""
+    """Compare all coefficients at exponents < bound; returns (ok, first mismatch).
+
+    Both series are laid out densely on the common grid q^(1/d), at the
+    integer indices from the lower offset up to bound * d, and compared there.
+    """
     bound = Fraction(bound)
     if a.exponent_bound() < bound or b.exponent_bound() < bound:
         raise PrecisionExceeded(
             f"comparison to exponent {bound} exceeds truncation "
             f"({a.exponent_bound()}, {b.exponent_bound()})"
         )
-    exps = sorted(
-        {e for e, _ in a.support() if e < bound} | {e for e, _ in b.support() if e < bound}
-    )
-    for e in exps:
-        ca = a.coeff_at(e) if (e * a.denom - a.offset).denominator == 1 else 0
-        cb = b.coeff_at(e) if (e * b.denom - b.offset).denominator == 1 else 0
-        if ca != cb:
-            return False, e
-    return True, None
+    d = math.lcm(a.denom, b.denom)
+    stop = -(-bound.numerator * d // bound.denominator)  # grid indices k < bound * d
+    start = min(a.offset * (d // a.denom), b.offset * (d // b.denom))
+    xa, xb = _on_grid(a, d, start, stop), _on_grid(b, d, start, stop)
+    if xa == xb:
+        return True, None
+    first = next(k for k, (x, y) in enumerate(zip(xa, xb)) if x != y)
+    return False, Fraction(start + first, d)
+
+
+def _on_grid(a: FracSeries, d: int, start: int, stop: int) -> list:
+    """Coefficients of a at the exponents k/d for start <= k < stop, as a list."""
+    s = d // a.denom
+    out = [0] * max(0, stop - start)
+    first = a.offset * s - start
+    n = min(a.series.order, -(-(len(out) - first) // s))
+    if n > 0:
+        out[first : first + n * s : s] = a.series.coeffs[:n]
+    return out

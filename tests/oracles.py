@@ -5,12 +5,18 @@ that shares none of its algorithm.
 """
 
 import math
+from fractions import Fraction
 from operator import mul
 
 from newform_products.arith import factor, legendre
-from newform_products.errors import InternalIntegralityFailure, SingularCurve
+from newform_products.errors import (
+    InternalIntegralityFailure,
+    NonUnitConstantTerm,
+    PrecisionExceeded,
+    SingularCurve,
+)
 from newform_products.products import ExponentSequence, _monic_unit_part
-from newform_products.qseries import PowerSeries
+from newform_products.qseries import FracSeries, PowerSeries
 from newform_products.theta import MonomialArg, _as_power_series, theta_sum
 
 
@@ -94,3 +100,61 @@ def psi(order: int) -> PowerSeries:
     """psi(q) = theta(q, q^3), supported on the triangular numbers."""
     s = theta_sum(MonomialArg(1, 1), MonomialArg(1, 3), order)
     return _as_power_series(s, order)
+
+
+def mul_schoolbook(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    """a * b by the double loop over nonzero terms."""
+    T = min(a.order, b.order)
+    out = [0] * T
+    a_items = a.nonzero_items()
+    b_items = b.nonzero_items()
+    if len(b_items) < len(a_items):
+        a_items, b_items = b_items, a_items
+    for i, ci in a_items:
+        if i >= T:
+            break
+        for j, cj in b_items:
+            k = i + j
+            if k >= T:
+                break
+            out[k] += ci * cj
+    return PowerSeries(tuple(out))
+
+
+def inverse_by_recurrence(a: PowerSeries) -> PowerSeries:
+    """1/a term by term: out_n = -c0 * sum_{i=1}^{n} a_i out_{n-i}."""
+    c0 = a.coeffs[0]
+    if c0 not in (1, -1):
+        raise NonUnitConstantTerm(f"series needs constant term +-1, got {c0}")
+    T = a.order
+    out = [0] * T
+    out[0] = c0
+    items = [(i, c) for i, c in enumerate(a.coeffs) if c != 0 and i > 0]
+    for n in range(1, T):
+        s = 0
+        for i, c in items:
+            if i > n:
+                break
+            s += c * out[n - i]
+        out[n] = -c0 * s
+    return PowerSeries(tuple(out))
+
+
+def frac_equal_to_by_exponents(a: FracSeries, b: FracSeries, bound):
+    """(ok, first mismatch) of a and b below bound, walking the union of
+    their supports as Fraction exponents."""
+    bound = Fraction(bound)
+    if a.exponent_bound() < bound or b.exponent_bound() < bound:
+        raise PrecisionExceeded(
+            f"comparison to exponent {bound} exceeds truncation "
+            f"({a.exponent_bound()}, {b.exponent_bound()})"
+        )
+    exps = sorted(
+        {e for e, _ in a.support() if e < bound} | {e for e, _ in b.support() if e < bound}
+    )
+    for e in exps:
+        ca = a.coeff_at(e) if (e * a.denom - a.offset).denominator == 1 else 0
+        cb = b.coeff_at(e) if (e * b.denom - b.offset).denominator == 1 else 0
+        if ca != cb:
+            return False, e
+    return True, None

@@ -1,5 +1,6 @@
 import pytest
 
+from newform_products import arith
 from newform_products.arith import (
     Factorization,
     divisors,
@@ -71,3 +72,67 @@ class TestLegendre:
                 expected = 0 if a == 0 else (1 if a in squares else -1)
                 assert legendre(a, p) == expected
 
+
+
+class TestIsPrime:
+    def test_agrees_with_sieve(self):
+        # the uncached function, so the test leaves no 2 * 10^5 cache entries
+        primes = primes_upto(200000)
+        assert [n for n in range(-3, 200001) if is_prime.__wrapped__(n)] == primes
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [
+            # strong pseudoprimes to every base of the next smaller set
+            (2047, 23),
+            (1373653, 829),
+            (25326001, 2251),
+            (3215031751, 151),
+            (2152302898747, 6763),
+            (3474749660383, 1303),
+            (341550071728321, 10670053),
+            (3825123056546413051, 149491),
+            (318665857834031151167461, 399165290221),
+            # Carmichael numbers
+            (561, 3),
+            (1105, 5),
+            (1729, 7),
+            (41041, 7),
+            (825265, 5),
+            (321197185, 5),
+            (5394826801, 7),
+            (232250619601, 7),
+            (9746347772161, 7),
+        ],
+    )
+    def test_composites_that_fool_weaker_tests(self, n, p):
+        assert n % p == 0 and 1 < p < n
+        assert not is_prime.__wrapped__(n)
+
+    @pytest.mark.parametrize(
+        "p", [2, 3, 41, 43, 2 ** 31 - 1, 10 ** 12 + 39, 2 ** 61 - 1, 10 ** 24 + 7]
+    )
+    def test_primes(self, p):
+        assert is_prime.__wrapped__(p)
+
+    def test_no_trial_division_below_bound(self, monkeypatch):
+        def no_factoring(n):
+            raise AssertionError(f"factor({n}) called")
+
+        monkeypatch.setattr(arith, "factor", no_factoring)
+        assert is_prime.__wrapped__(10 ** 12 + 39)
+        assert not is_prime.__wrapped__(1000003 * 1000033)
+
+    def test_factoring_above_bound(self, monkeypatch):
+        # 1287836182261 * 2575672364521 is a strong pseudoprime to bases 2..41
+        # and the first n that Miller-Rabin with them does not decide
+        n = 3317044064679887385961981
+        calls = []
+
+        def recorded(m):
+            calls.append(m)
+            return Factorization(m, ((1287836182261, 1), (2575672364521, 1)))
+
+        monkeypatch.setattr(arith, "factor", recorded)
+        assert not is_prime.__wrapped__(n)
+        assert calls == [n]

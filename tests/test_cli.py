@@ -63,6 +63,12 @@ class TestAn:
         assert code == EXIT_OK
         assert text.startswith("f_1 = 1\n") and text.count("\n") == 4
 
+    def test_undecided_minimality_exit_2(self, capsys):
+        # a6 = 10^100 + 267 is prime; trial division stops at 10^6
+        code, text = run("an", "--curve", f"0,0,0,0,{10 ** 100 + 267}", "--order", "3")
+        assert code == EXIT_USAGE and text == ""
+        assert "trial-division bound 1000000" in capsys.readouterr().err
+
     def test_out_of_memory_exit_2(self, monkeypatch, capsys):
         # an --order too large for memory is a usage error, not a traceback;
         # the expansion is replaced, so nothing large is allocated

@@ -141,6 +141,16 @@ class TestMinimality:
         with pytest.raises(SingularCurve, match="not minimal at p=5 "):
             curve_from_quintuple((0, 0, 0, 0, 5 ** 120))
 
+    def test_largest_prime_below_trial_bound_decided(self):
+        assert elliptic._MINIMALITY_TRIAL_BOUND == 10 ** 6
+        with pytest.raises(SingularCurve, match="not minimal at p=999983 "):
+            curve_from_quintuple(_rescaled((0, 0, 1, -1, 0), 999983))
+
+    def test_first_prime_past_trial_bound_undecided(self):
+        # tests/test_cli.py runs a model whose gcd keeps a 100-digit prime
+        with pytest.raises(ValueError, match="trial-division bound 1000000$"):
+            curve_from_quintuple(_rescaled((0, 0, 1, -1, 0), 1000003))
+
     def test_agrees_with_factoring_rule(self, monkeypatch):
         rng = random.Random(2718)
         rules = {"parent": [], "gcd": []}

@@ -114,6 +114,9 @@ class TestE2Identity:
         e2 = e2_series(6)
         assert e2.coeffs == (Fraction(1, 24), -1, -3, -4, -7, -6)
 
+    def test_integer_past_constant(self):
+        assert all(type(c) is int for c in e2_series(200).coeffs[1:])
+
     def test_identity_holds(self):
         assert verify_e2_identity(120)
 

@@ -19,7 +19,13 @@ from newform_products.qseries import (
     frac_subst_scale,
 )
 
-from oracles import binomial, q_d_dq
+from oracles import (
+    binomial,
+    frac_equal_to_by_exponents,
+    inverse_by_recurrence,
+    mul_schoolbook,
+    q_d_dq,
+)
 
 
 def series(*coeffs):
@@ -161,6 +167,127 @@ class TestRingAxioms:
         a_hi, b_hi = rand_series(rng, 40), rand_series(rng, 40)
         a_lo, b_lo = PowerSeries(a_hi.coeffs[:20]), PowerSeries(b_hi.coeffs[:20])
         assert (a_lo * b_lo).coeffs == (a_hi * b_hi).coeffs[:20]
+
+
+def strided_series(rng, order, stride, bits, density=0.7):
+    """Random signed coefficients of up to `bits` bits on the stride grid."""
+    c = [0] * order
+    for n in range(0, order, stride):
+        if rng.random() < density:
+            c[n] = rng.randint(-(2 ** bits), 2 ** bits)
+    return PowerSeries(tuple(c))
+
+
+class TestAgainstSchoolbook:
+    """The packed product, the Newton inverse and the integer comparison
+    against the term-by-term routes in oracles.py."""
+
+    BITS = (0, 1, 7, 8, 63, 64, 200, 1000)  # 2^1000 is about 10^301
+
+    def test_products(self):
+        rng = random.Random(1001)
+        for stride in (1, 2, 3, 24):
+            for bits in self.BITS:
+                for _ in range(6):
+                    a = strided_series(rng, rng.randint(1, 40 * stride), stride, bits)
+                    b = strided_series(rng, rng.randint(1, 40 * stride), rng.choice((1, stride)), bits)
+                    assert (a * b).coeffs == mul_schoolbook(a, b).coeffs
+                    assert (a * a).coeffs == mul_schoolbook(a, a).coeffs
+
+    def test_mixed_sizes_and_signs(self):
+        rng = random.Random(1002)
+        for _ in range(200):
+            a = strided_series(rng, rng.randint(1, 40), 1, rng.choice(self.BITS))
+            b = strided_series(rng, rng.randint(1, 40), 1, rng.choice(self.BITS), 0.2)
+            assert (a * b).coeffs == mul_schoolbook(a, b).coeffs
+
+    def test_extreme_coefficients(self):
+        # every coefficient at the largest magnitude of its bit length, so the
+        # top product coefficient T * (2^k - 1)^2 comes near its slot's limit
+        # for every bit length mod 8; all of one sign, or alternating
+        for big in [2 ** k - 1 for k in range(1, 18)] + [10 ** 300]:
+            for T in (1, 2, 3, 7, 15, 16, 17, 63):
+                for sa, sb in ((1, 1), (-1, 1), (-1, -1)):
+                    a = PowerSeries(tuple(sa * big for _ in range(T)))
+                    b = PowerSeries(tuple(sb * (-1) ** n * big for n in range(T)))
+                    assert (a * b).coeffs == mul_schoolbook(a, b).coeffs
+                assert (a * a).coeffs == mul_schoolbook(a, a).coeffs
+
+    def test_small_and_degenerate(self):
+        rng = random.Random(1003)
+        cases = [
+            PowerSeries((0,)),
+            PowerSeries((5,)),
+            PowerSeries((-(10 ** 300),)),
+            PowerSeries.zero(12),
+            PowerSeries.one(12),
+            PowerSeries.from_terms({7: -3}, 12),
+            PowerSeries.from_terms({11: 10 ** 40}, 12),
+            PowerSeries.from_terms({0: 2, 6: 1}, 9),
+            rand_series(rng, 12),
+        ]
+        for a in cases:
+            for b in cases:
+                assert (a * b).coeffs == mul_schoolbook(a, b).coeffs
+
+    def test_rational_coefficients(self):
+        e2 = PowerSeries((Fraction(1, 24), -1, -3, -4, -7, -6, -12))
+        half = PowerSeries((1, Fraction(1, 2), 0, Fraction(-5, 3)))
+        for a, b in ((e2, e2), (e2, half), (half, PowerSeries.one(4))):
+            assert (a * b).coeffs == mul_schoolbook(a, b).coeffs
+        assert half.inverse().coeffs == inverse_by_recurrence(half).coeffs
+
+    def test_inverses(self):
+        rng = random.Random(1004)
+        for stride in (1, 2, 3, 24):
+            for bits in self.BITS:
+                for c0 in (1, -1):
+                    a = strided_series(rng, rng.randint(1, 24 * stride), stride, bits)
+                    a = PowerSeries((c0,) + a.coeffs[1:])
+                    assert a.inverse().coeffs == inverse_by_recurrence(a).coeffs
+        for a in (PowerSeries((-1,)), PowerSeries.one(1), PowerSeries.one(50)):
+            assert a.inverse().coeffs == inverse_by_recurrence(a).coeffs
+
+    def test_frac_equal_to(self):
+        rng = random.Random(1005)
+        mismatches = 0
+        for _ in range(1500):
+            a = FracSeries.make(
+                rng.choice((1, 2, 3, 4, 6, 24)),
+                rng.randint(-12, 12),
+                strided_series(rng, rng.randint(1, 40), 1, 2, 0.5),
+            )
+            b = a
+            if rng.random() < 0.3:
+                b = FracSeries.make(
+                    rng.choice((1, 2, 3, 8)),
+                    rng.randint(-12, 12),
+                    strided_series(rng, rng.randint(1, 40), 1, 2, 0.5),
+                )
+            elif not a.is_zero():
+                # the same series with one coefficient changed
+                c = list(a.series.coeffs)
+                c[rng.randrange(len(c))] += rng.choice((1, -1))
+                b = FracSeries.make(a.denom, a.offset, PowerSeries(tuple(c)))
+            bound = Fraction(rng.randint(-30, 60), rng.choice((1, 2, 5, 24)))
+            try:
+                expected = frac_equal_to_by_exponents(a, b, bound)
+            except PrecisionExceeded:
+                with pytest.raises(PrecisionExceeded):
+                    frac_equal_to(a, b, bound)
+                continue
+            assert frac_equal_to(a, b, bound) == expected
+            mismatches += not expected[0]
+        assert mismatches > 150
+
+    def test_frac_equal_to_first_mismatch_between_grids(self):
+        # a on the 1/2 grid, b on the 1/3 grid: the first mismatch is at
+        # 1/3, an exponent only b has, ahead of a's first term at 1/2
+        a = FracSeries.make(2, 1, PowerSeries((1, 0, 2, 0, 3, 0)))
+        b = FracSeries.make(3, 1, PowerSeries((7, 0, 0, 0, 0, 0, 0, 0, 0)))
+        assert frac_equal_to(a, b, 3) == frac_equal_to_by_exponents(a, b, 3)
+        assert frac_equal_to(a, b, 3) == (False, Fraction(1, 3))
+        assert frac_equal_to(a, b, Fraction(1, 3)) == (True, None)
 
 
 class TestFracSeries:
