@@ -8,7 +8,7 @@ and searches for product decompositions under the two linear constraints.
 
 __version__ = "0.1.0"
 
-from .arith import divisors, factor, legendre
+from .arith import divisors, factor
 from .elliptic import Curve, ReductionInfo, an_expansion, count_points, curve_from_quintuple, reduction_at
 from .eta import EtaQuotient, dedekind_eta, e2_series, eta_quotient_series, eta_signed, euler_product, verify_e2_identity
 from .products import (
@@ -45,7 +45,6 @@ __all__ = [
     "factor",
     "generalized_logder_check",
     "infer_block",
-    "legendre",
     "log_derivative_quotient",
     "reconstruct",
     "reduction_at",

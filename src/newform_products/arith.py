@@ -1,7 +1,4 @@
-"""Exact integer number theory: factorization, prime sieves, divisors, Legendre symbol.
-
-The Legendre symbol is a public export; the library itself does not call
-it when it counts points (see `elliptic.count_points`).
+"""Exact integer number theory: factorization, primality, prime sieves, divisors.
 
 Everything here is pure and exact.  `factor` trial-divides, so its inputs
 stay small (see its size note); `is_prime` is a Miller-Rabin test that is
@@ -132,10 +129,3 @@ def divisors(n: int) -> list[int]:
         divs = [d * p ** k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for odd prime p, via Euler's criterion."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"legendre() needs an odd prime modulus, got {p}")
-    r = pow(a % p, (p - 1) // 2, p)
-    return r - p if r == p - 1 else r

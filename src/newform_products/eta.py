@@ -1,18 +1,18 @@
-"""Dedekind eta, signed-argument eta, eta quotients, and the E2 identity."""
+"""Dedekind eta, signed-argument eta, eta quotients, and the E2 identity.
+
+An eta quotient prod_t eta(q^t)^(r_t) is q^(sum t r_t / 24) times
+prod_n (1 - q^n)^(g_n) with g_n = sum_{t | n} r_t, so it is expanded from
+those exponents by one unit_product call, and the rational prefactor is
+attached to the result.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .products import _logder_coefficients
-from .qseries import (
-    FracSeries,
-    PowerSeries,
-    frac_mul,
-    frac_pow,
-    frac_subst_scale,
-)
+from .products import ExponentSequence, _logder_coefficients, unit_product
+from .qseries import FracSeries, PowerSeries
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,13 @@ def eta_signed(t: int, sign: int, order: int) -> FracSeries:
 
 def eta_quotient_series(eq: EtaQuotient, order: int) -> FracSeries:
     """Expand the quotient with inner products carried to the given q-order."""
-    result = None
+    g = [0] * order
     for t, r in eq.terms:
-        inner_order = order // t + 1
-        part = frac_pow(frac_subst_scale(dedekind_eta(max(inner_order, 2)), t), r)
-        result = part if result is None else frac_mul(result, part)
-    if result is None:
-        return FracSeries.from_power_series(PowerSeries.one(order))
-    return result
+        for n in range(t, order, t):
+            g[n] += r
+    inner = unit_product(ExponentSequence(tuple(g[1:])), order)
+    e = eq.leading_exponent
+    return FracSeries.make(e.denominator, e.numerator, inner.subst_monomial(1, e.denominator))
 
 
 def e2_series(order: int) -> PowerSeries:

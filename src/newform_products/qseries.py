@@ -63,9 +63,6 @@ class PowerSeries:
                 c[n] = v
         return PowerSeries(tuple(c))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def nonzero_items(self) -> list[tuple[int, object]]:
         return [(i, c) for i, c in enumerate(self.coeffs) if c != 0]
 
@@ -220,16 +217,9 @@ class FracSeries:
             raise ValueError("denom must be >= 1")
         return _normalize(denom, offset, series)
 
-    @staticmethod
-    def from_power_series(ps: PowerSeries) -> "FracSeries":
-        return FracSeries.make(1, 0, ps)
-
     def exponent_bound(self) -> Fraction:
         """Exponents are known (exactly) strictly below this bound."""
         return Fraction(self.offset + self.series.order, self.denom)
-
-    def is_zero(self) -> bool:
-        return self.series.is_zero()
 
     def coeff_at(self, exponent) -> object:
         """Coefficient of q^exponent (a Fraction or int)."""
@@ -274,11 +264,6 @@ def _normalize(denom: int, offset: int, series: PowerSeries) -> FracSeries:
     return FracSeries(denom, offset, series)
 
 
-def _on_common_grid(a: FracSeries, b: FracSeries) -> tuple[int, FracSeries, FracSeries]:
-    d = a.denom * b.denom // math.gcd(a.denom, b.denom)
-    return d, _regrid(a, d), _regrid(b, d)
-
-
 def _regrid(a: FracSeries, denom: int) -> FracSeries:
     s = denom // a.denom
     if s == 1:
@@ -289,60 +274,10 @@ def _regrid(a: FracSeries, denom: int) -> FracSeries:
     return FracSeries(denom, a.offset * s, PowerSeries(tuple(out)))
 
 
-def frac_scale(a: FracSeries, k) -> FracSeries:
-    return _normalize(a.denom, a.offset, a.series.scale(k))
-
-
-def frac_sub(a: FracSeries, b: FracSeries) -> FracSeries:
-    """a - b on the common grid, known below the smaller exponent bound.
-
-    A zero operand is taken as exact, so it does not truncate the other.
-    """
-    if b.is_zero():
-        return a
-    if a.is_zero():
-        return frac_scale(b, -1)
-    d, ga, gb = _on_common_grid(a, b)
-    bound = min(ga.offset + ga.series.order, gb.offset + gb.series.order)
-    offset = min(ga.offset, gb.offset)
-    out = [0] * max(1, bound - offset)
-    for sign, g in ((1, ga), (-1, gb)):
-        for k, c in g.series.nonzero_items():
-            if g.offset + k < bound:
-                out[g.offset + k - offset] += sign * c
-    return _normalize(d, offset, PowerSeries(tuple(out)))
-
-
 def frac_mul(a: FracSeries, b: FracSeries) -> FracSeries:
-    d, ga, gb = _on_common_grid(a, b)
-    prod = ga.series * gb.series
-    return _normalize(d, ga.offset + gb.offset, prod)
-
-
-def frac_pow(a: FracSeries, r: int) -> FracSeries:
-    if r == 0:
-        return FracSeries.from_power_series(PowerSeries.one(a.series.order))
-    if a.is_zero():
-        if r < 0:
-            raise NonUnitConstantTerm("cannot invert the zero series")
-        return a
-    inner = a.series.pow_int(r)
-    return _normalize(a.denom, a.offset * r, inner)
-
-
-def frac_subst_scale(a: FracSeries, t: int) -> FracSeries:
-    """q -> q^t on a fractional series: every exponent scales by t."""
-    if t < 1:
-        raise ValueError("scale must be a positive integer")
-    return _normalize(a.denom, a.offset * t, a.series.subst_monomial(1, t))
-
-
-def frac_shift(a: FracSeries, exponent) -> FracSeries:
-    """Multiply by the exact monomial q^exponent (no truncation loss)."""
-    e = Fraction(exponent)
-    d = a.denom * e.denominator // math.gcd(a.denom, e.denominator)
-    ga = _regrid(a, d)
-    return _normalize(d, ga.offset + int(e * d), ga.series)
+    d = math.lcm(a.denom, b.denom)
+    ga, gb = _regrid(a, d), _regrid(b, d)
+    return _normalize(d, ga.offset + gb.offset, ga.series * gb.series)
 
 
 def frac_equal_to(a: FracSeries, b: FracSeries, bound) -> tuple[bool, Fraction | None]:

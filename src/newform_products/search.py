@@ -177,8 +177,11 @@ def eta_quotient_search(
     The exponents of a matching quotient are determined triangularly by the
     target's extracted g_n (g_n = sum_{t|n} r_t), so the bounded enumeration
     reduces to solving that system on the divisors of the level and checking
-    the remaining coefficients; the found quotient's series is re-expanded
-    and compared as an independent confirmation.
+    the remaining coefficients.  The found quotient's series is then
+    re-expanded and compared with the target.  That is a round trip through
+    the same product kernel that extracted g_n, not an independent check;
+    the independent one is the test of the Martin-Ono quotients against
+    point counting (tests/test_elliptic.py::TestMartinOnoOracle).
     """
     rec = record_for(level)
     if rec is None:
@@ -203,7 +206,7 @@ def eta_quotient_search(
     eq = EtaQuotient(terms)
     if eq.weight_numerator != 4 or eq.leading_exponent != 1:
         return []
-    # independent confirmation by direct expansion
+    # round trip: expand the quotient's product and compare coefficients
     series = eta_quotient_series(eq, order)
     for n in range(1, order):
         if series.coeff_at(n) != target.coeffs[n]:

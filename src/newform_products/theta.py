@@ -6,6 +6,12 @@ theta(a, b) = sum_{n in Z} a^(n(n+1)/2) b^(n(n-1)/2)
 
 Arguments are restricted to sign * q^(num/den); that covers every
 specialization needed here and keeps everything in single-variable series.
+
+Every product here (the triple product, eta256^2 and the eta powers of
+identity 2) is written as prod (1 - q^k)^(g_k) and expanded by one
+unit_product call.  A factor 1 + x becomes (1 - x^2)/(1 - x), and a
+prefactor q^(t r/24) of eta^r(+-q^t) is carried as an exponent, not as a
+series.  Series powers remain only for the phi and psi sums of identity 1.
 """
 
 from __future__ import annotations
@@ -16,19 +22,8 @@ from fractions import Fraction
 
 from .elliptic import an_expansion, curve_from_quintuple
 from .errors import InvalidArgs
-from .eta import dedekind_eta, eta_signed
 from .products import ExponentSequence, block_profile, extract_exponents, unit_product
-from .qseries import (
-    FracSeries,
-    PowerSeries,
-    frac_equal_to,
-    frac_mul,
-    frac_pow,
-    frac_scale,
-    frac_shift,
-    frac_sub,
-    frac_subst_scale,
-)
+from .qseries import FracSeries, PowerSeries
 
 ETA256_CURVE = (0, 0, 0, -2, 0)
 ETA256_CURVE_ISOGENOUS = (0, 0, 0, 8, 0)
@@ -63,7 +58,7 @@ def theta_sum(a: MonomialArg, b: MonomialArg, order: int) -> FracSeries:
     quadratically in both directions."""
     _check_args(a, b)
     alpha, beta = a.exponent, b.exponent
-    denom = _lcm(alpha.denominator, beta.denominator)
+    denom = math.lcm(alpha.denominator, beta.denominator)
     bound = Fraction(order)
     terms: dict[int, int] = {}
     n = 0
@@ -87,38 +82,45 @@ def theta_sum(a: MonomialArg, b: MonomialArg, order: int) -> FracSeries:
     return FracSeries.make(denom, 0, PowerSeries.from_terms(terms, physical))
 
 
-def _lcm(x: int, y: int) -> int:
-    return x * y // math.gcd(x, y)
-
-
 def theta_product(a: MonomialArg, b: MonomialArg, order: int) -> FracSeries:
     """Triple-product side: (-a; ab)_inf (-b; ab)_inf (ab; ab)_inf.
 
-    Every factor is 1 - eps q^(k/denom) with eps = +-1.  Writing
-    1 + x = (1 - x^2)/(1 - x) turns all of them into product exponents on
-    the q^(1/denom) grid, which one unit_product call expands.
+    Every factor is 1 - eps q^(k/denom) with eps = +-1, so the three
+    products become exponents on the q^(1/denom) grid, which one
+    unit_product call expands.
     """
     _check_args(a, b)
     alpha, beta = a.exponent, b.exponent
-    denom = _lcm(alpha.denominator, beta.denominator)
-    physical = order * denom
+    denom = math.lcm(alpha.denominator, beta.denominator)
     ab_sign = a.sign * b.sign
     step = int((alpha + beta) * denom)
-    g = [0] * physical
-    for first_sign, first in (
-        (-a.sign, int(alpha * denom)),
-        (-b.sign, int(beta * denom)),
-        (ab_sign, step),
-    ):
-        for i, k in enumerate(range(first, physical, step)):
-            if first_sign * ab_sign ** i == 1:
-                g[k] += 1
-            else:
-                g[k] -= 1
-                if 2 * k < physical:
-                    g[2 * k] += 1
-    inner = unit_product(ExponentSequence(tuple(g[1:])), physical)
-    return FracSeries.make(denom, 0, inner)
+    g = [0] * (order * denom)
+    _add_signed_factors(g, int(alpha * denom), step, -a.sign, ab_sign, 1)
+    _add_signed_factors(g, int(beta * denom), step, -b.sign, ab_sign, 1)
+    _add_signed_factors(g, step, step, ab_sign, ab_sign, 1)
+    return FracSeries.make(denom, 0, _expand(g))
+
+
+def _add_signed_factors(g: list, first: int, step: int, sign: int, ratio: int, r: int) -> None:
+    """Add to g the exponents of prod_{i>=0} (1 - sign ratio^i q^(first + i step))^r.
+
+    g[k] is the exponent of (1 - q^k) for 1 <= k < len(g).  A factor with
+    sign -1 is 1 + x = (1 - x^2)/(1 - x), so it adds -r at k and r at 2k.
+    """
+    eps = sign
+    for k in range(first, len(g), step):
+        if eps == 1:
+            g[k] += r
+        else:
+            g[k] -= r
+            if 2 * k < len(g):
+                g[2 * k] += r
+        eps *= ratio
+
+
+def _expand(g: list) -> PowerSeries:
+    """prod_{1 <= k < len(g)} (1 - q^k)^(g[k]) to order len(g)."""
+    return unit_product(ExponentSequence(tuple(g[1:])), len(g))
 
 
 def phi(order: int) -> PowerSeries:
@@ -159,16 +161,16 @@ def eta256_block(order: int) -> ExponentSequence:
     return ExponentSequence(profile.a[:order])
 
 
-def eta256_series(order: int) -> FracSeries:
-    """eta256(q) = q^(1/4) * prod (1 - q^n)^(a_n) with inner order as given."""
-    inner = unit_product(eta256_block(order), order)
-    return FracSeries.make(4, 1, inner.subst_monomial(1, 4))
+def _eta256_squared(order: int) -> PowerSeries:
+    """q^(-1/2) eta256^2 = prod (1 - q^n)^(2 a_n) to the given order."""
+    return _expand([0, *(2 * a for a in eta256_block(order - 1).g)])
 
 
 def weight4_series(order: int) -> PowerSeries:
-    """eta256^2(q^2) = q * prod(1 - q^(2n))^(2 a_n); integer exponents."""
-    sq = frac_pow(frac_subst_scale(eta256_series(max(2, (order + 1) // 2)), 2), 2)
-    return _as_power_series(sq, order)
+    """eta256^2(q^2) = q * prod (1 - q^(2n))^(2 a_n); integer exponents."""
+    c = [0] * order
+    c[1::2] = _eta256_squared(max(1, order // 2)).coeffs[: order // 2]
+    return PowerSeries(tuple(c))
 
 
 WEIGHT4_PRINTED = {
@@ -206,38 +208,52 @@ def verify_eta256_identities(order: int) -> tuple[bool, bool, object]:
     Identity 1: q^(-1/2) eta256^2(q) = phi^2(q^2) psi^2(-q^2) (phi^4(q^2) - 8q psi^4(-q^2))
     Identity 2: eta256^2(q) = (eta^12(-q^2) - 8 eta^12(q^4)) / (eta^2(-q^2) eta^2(q^4))
 
+    Each eta power eta^r(+-q^t) is q^(t r/24) times a product, so the
+    prefactors are q^(1/2) for eta256^2 (eta256 = q^(1/4) prod (1 - q^n)^(a_n)),
+    q^1 for eta^12(-q^2), q^2 for eta^12(q^4), and q^(1/6) q^(1/3) = q^(1/2)
+    for the denominator.  Dividing identity 2 by q^(1/2) leaves
+    P = X - 8q Y in integer series, with P = prod (1 - q^n)^(2 a_n),
+    X = eta^12(-q^2) / D and Y = eta^12(q^4) / D stripped of their
+    prefactors, and D the denominator; each is one unit_product call on
+    combined exponents.
+
     Identity 2 is sensitive to the branch convention for eta(-q^2); with the
     positive-branch prefactor q^(1/12) used by eta_signed, the second
     numerator term carries no monomial factor (a parity count on the two
     sides forces this: the inner products are even in q, so any extra odd
     q-power on one numerator term is inconsistent).
 
-    Returns (ok1, ok2, first mismatch exponent or None).
+    Returns (ok1, ok2, first mismatch exponent or None); the exponent is
+    read in q^(-1/2) eta256^2 for identity 1 and in eta256^2 for identity 2.
     """
     if order < 4:
         raise ValueError("identity check needs order >= 4")
-    e256_sq = frac_pow(eta256_series(order + 1), 2)
+    lhs = _eta256_squared(order)
 
-    phi_q2 = phi(order + 1).subst_monomial(1, 2, order + 1)
-    psi_m = psi_neg_q2(order + 1)
-    q = PowerSeries.from_terms({1: 1}, order + 1)
+    phi_q2 = phi(order).subst_monomial(1, 2, order)
+    psi_m = psi_neg_q2(order)
+    q = PowerSeries.from_terms({1: 1}, order)
     rhs1 = (
         phi_q2.pow_int(2)
         * psi_m.pow_int(2)
         * (phi_q2.pow_int(4) - q * psi_m.pow_int(4).scale(8))
     )
-    lhs1 = frac_shift(e256_sq, Fraction(-1, 2))
-    ok1, at1 = frac_equal_to(lhs1, FracSeries.from_power_series(rhs1), order)
+    at1 = _first_mismatch(lhs, rhs1)
 
-    inner = order // 2 + 2
-    eta_m_q2 = eta_signed(2, -1, inner)
-    eta_q4 = frac_subst_scale(dedekind_eta(order // 4 + 2), 4)
-    numer = frac_sub(
-        frac_pow(eta_m_q2, 12),
-        frac_scale(frac_pow(eta_q4, 12), 8),
-    )
-    denom = frac_mul(frac_pow(eta_m_q2, 2), frac_pow(eta_q4, 2))
-    rhs2 = frac_mul(numer, frac_pow(denom, -1))
-    ok2, at2 = frac_equal_to(e256_sq, rhs2, order)
+    g_x, g_y = [0] * order, [0] * order
+    _add_signed_factors(g_x, 2, 2, -1, -1, 12 - 2)
+    _add_signed_factors(g_y, 2, 2, -1, -1, -2)
+    for k in range(4, order, 4):
+        g_x[k] -= 2
+        g_y[k] += 12 - 2
+    q_y = PowerSeries((0,) + _expand(g_y).coeffs[:-1])
+    at2 = _first_mismatch(lhs, _expand(g_x) - q_y.scale(8))
+    if at2 is not None:
+        at2 += Fraction(1, 2)
     first = at1 if at1 is not None else at2
-    return ok1, ok2, first
+    return at1 is None, at2 is None, first
+
+
+def _first_mismatch(a: PowerSeries, b: PowerSeries) -> Fraction | None:
+    """The first exponent where a and b differ, or None where they agree."""
+    return next((Fraction(n) for n, (x, y) in enumerate(zip(a.coeffs, b.coeffs)) if x != y), None)

@@ -1,22 +1,24 @@
 """Brute-force routes and closed formulas that the tests check the library against.
 
 Each one computes what a library function computes, by a slower method
-that shares none of its algorithm.
+that shares none of its algorithm.  The fractional-series operations at the
+end (powers and substitution) serve only these routes.
 """
 
 import math
 from fractions import Fraction
 from operator import mul
 
-from newform_products.arith import factor, legendre
+from newform_products.arith import factor, is_prime
 from newform_products.errors import (
     InternalIntegralityFailure,
     NonUnitConstantTerm,
     PrecisionExceeded,
     SingularCurve,
 )
+from newform_products.eta import EtaQuotient, dedekind_eta
 from newform_products.products import ExponentSequence, _monic_unit_part
-from newform_products.qseries import FracSeries, PowerSeries
+from newform_products.qseries import FracSeries, PowerSeries, _normalize, frac_mul
 from newform_products.theta import MonomialArg, _as_power_series, theta_sum
 
 
@@ -41,6 +43,14 @@ def count_points_naive(c, p: int) -> int:
             if (y * y + c.a1 * x * y + c.a3 * y - rhs) % p == 0:
                 n += 1
     return n
+
+
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) for odd prime p, via Euler's criterion."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"legendre() needs an odd prime modulus, got {p}")
+    r = pow(a % p, (p - 1) // 2, p)
+    return r - p if r == p - 1 else r
 
 
 def count_points_legendre(c, p: int) -> int:
@@ -158,3 +168,28 @@ def frac_equal_to_by_exponents(a: FracSeries, b: FracSeries, bound):
         if ca != cb:
             return False, e
     return True, None
+
+
+def eta_quotient_series_by_powers(eq: EtaQuotient, order: int) -> FracSeries:
+    """The quotient as a product of powers of substituted eta series: each
+    eta(q^t)^r raised by square-and-multiply (and a Newton inverse for r < 0)."""
+    result = None
+    for t, r in eq.terms:
+        part = frac_pow(frac_subst_scale(dedekind_eta(max(order // t + 1, 2)), t), r)
+        result = part if result is None else frac_mul(result, part)
+    if result is None:
+        return FracSeries.make(1, 0, PowerSeries.one(order))
+    return result
+
+
+def frac_pow(a: FracSeries, r: int) -> FracSeries:
+    """a^r for a nonzero series; r < 0 inverts."""
+    if r == 0:
+        return FracSeries.make(1, 0, PowerSeries.one(a.series.order))
+    return _normalize(a.denom, a.offset * r, a.series.pow_int(r))
+
+
+def frac_subst_scale(a: FracSeries, t: int) -> FracSeries:
+    """q -> q^t on a fractional series: every exponent scales by t."""
+    return _normalize(a.denom, a.offset * t, a.series.subst_monomial(1, t))
+

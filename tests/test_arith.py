@@ -6,9 +6,10 @@ from newform_products.arith import (
     divisors,
     factor,
     is_prime,
-    legendre,
     primes_upto,
 )
+
+from oracles import legendre
 
 
 class TestFactor:

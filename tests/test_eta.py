@@ -14,15 +14,11 @@ from newform_products.eta import (
     verify_e2_identity,
 )
 from newform_products.elliptic import an_expansion, curve_from_quintuple
-from newform_products.qseries import (
-    FracSeries,
-    PowerSeries,
-    frac_equal_to,
-    frac_subst_scale,
-)
+from newform_products.qseries import FracSeries, PowerSeries, frac_equal_to
 from newform_products.registry import record_for
 
-from oracles import euler_product_dense, q_d_dq
+from oracles import euler_product_dense, eta_quotient_series_by_powers, frac_subst_scale, q_d_dq
+from test_elliptic import MARTIN_ONO
 
 
 class TestEulerProduct:
@@ -97,6 +93,25 @@ class TestEtaQuotient:
         target = an_expansion(curve_from_quintuple(rec.curves[0]), 60)
         for n in range(1, 60):
             assert series.coeff_at(Fraction(n)) == target.coeffs[n], n
+
+    @pytest.mark.parametrize("order", [3, 50, 200])
+    @pytest.mark.parametrize("level", sorted(MARTIN_ONO))
+    def test_martin_ono_equals_product_of_powers(self, level, order):
+        eq = EtaQuotient(MARTIN_ONO[level][1])
+        ok, where = frac_equal_to(
+            eta_quotient_series(eq, order), eta_quotient_series_by_powers(eq, order), order
+        )
+        assert ok, where
+
+    @pytest.mark.parametrize(
+        "terms", [(), ((1, 1),), ((1, -1),), ((1, 3), (2, -1)), ((3, 5), (5, -7))]
+    )
+    def test_fractional_prefactor_equals_product_of_powers(self, terms):
+        eq = EtaQuotient(terms)
+        series = eta_quotient_series(eq, 40)
+        assert Fraction(series.offset, series.denom) == eq.leading_exponent
+        ok, where = frac_equal_to(series, eta_quotient_series_by_powers(eq, 40), 39)
+        assert ok, where
 
     def test_periodic_exponent_recovery(self):
         # g_n of the level-36 newform is 4 on multiples of 6, 0 elsewhere

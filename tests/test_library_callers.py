@@ -1,4 +1,5 @@
-"""Every library function and method has a caller in the library itself.
+"""Every library function and method has a caller in the library itself,
+and every name the benchmark's tracer wraps exists.
 
 Code that only the tests reach belongs in the tests (see `tests/oracles.py`)
 or nowhere.  Callers are matched by name: a definition counts as used when
@@ -9,12 +10,16 @@ console entry point, are exempt.
 
 import ast
 import collections
+import importlib
+import importlib.util
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "newform_products"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "newform_products"
 
 # Definitions with no library caller on purpose, and why.
 NO_LIBRARY_CALLER = {
+    "qseries.frac_mul": "`bench/tracer.py` wraps it by name; the tests' oracles call it",
     "registry.save_registry": "writes the file that `table1 --registry` reads",
 }
 
@@ -61,3 +66,20 @@ def _without_library_caller():
 
 def test_every_definition_has_a_library_caller():
     assert _without_library_caller() == sorted(NO_LIBRARY_CALLER)
+
+
+def test_tracer_targets_resolve():
+    # a traced benchmark child crashes on a target that is gone, so every
+    # (module, "name" or "Class.method") pair it wraps must resolve
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    pairs = [(module, attr) for module, attr, _ in tracer.TARGETS]
+    missing = []
+    for module, attr in pairs + [("search", "_constraints_hold")]:
+        obj = importlib.import_module(f"newform_products.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

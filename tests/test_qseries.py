@@ -13,15 +13,13 @@ from newform_products.qseries import (
     PowerSeries,
     frac_equal_to,
     frac_mul,
-    frac_pow,
-    frac_shift,
-    frac_sub,
-    frac_subst_scale,
 )
 
 from oracles import (
     binomial,
     frac_equal_to_by_exponents,
+    frac_pow,
+    frac_subst_scale,
     inverse_by_recurrence,
     mul_schoolbook,
     q_d_dq,
@@ -264,7 +262,7 @@ class TestAgainstSchoolbook:
                     rng.randint(-12, 12),
                     strided_series(rng, rng.randint(1, 40), 1, 2, 0.5),
                 )
-            elif not a.is_zero():
+            elif any(a.series.coeffs):
                 # the same series with one coefficient changed
                 c = list(a.series.coeffs)
                 c[rng.randrange(len(c))] += rng.choice((1, -1))
@@ -334,36 +332,10 @@ class TestFracSeries:
         with pytest.raises(PrecisionExceeded):
             a.coeff_at(100)
 
-    def test_frac_shift_is_exact(self):
-        a = FracSeries.make(1, 0, PowerSeries((1, 2, 3, 4)))
-        shifted = frac_shift(a, Fraction(-1, 2))
-        assert shifted.coeff_at(Fraction(-1, 2)) == 1
-        assert shifted.coeff_at(Fraction(5, 2)) == 4
-        assert shifted.exponent_bound() == Fraction(7, 2)
-
     def test_equal_objects_equal_representations(self):
         a = FracSeries.make(8, 2, PowerSeries.from_terms({0: 1, 4: 7}, 16))
         b = FracSeries.make(4, 1, PowerSeries.from_terms({0: 1, 2: 7}, 8))
         assert (a.denom, a.offset, a.series.coeffs) == (b.denom, b.offset, b.series.coeffs)
-
-    def test_frac_sub_on_common_grid_truncates_at_smaller_bound(self):
-        a = FracSeries.make(2, 1, PowerSeries((1, 0, 3)))  # q^(1/2) + 3q^(3/2), to q^2
-        b = FracSeries.make(3, 1, PowerSeries((1, 5)))  # q^(1/3) + 5q^(2/3), to q^1
-        diff = frac_sub(a, b)
-        assert diff.exponent_bound() == 1
-        assert diff.support() == [(Fraction(1, 3), -1), (Fraction(1, 2), 1), (Fraction(2, 3), -5)]
-        back = frac_sub(b, a)
-        assert back.exponent_bound() == 1
-        assert back.support() == [(e, -c) for e, c in diff.support()]
-
-    def test_frac_sub_zero_operand_is_exact(self):
-        a = FracSeries.make(2, 1, PowerSeries((1, 0, 3)))
-        zero = FracSeries.from_power_series(PowerSeries.zero(1))
-        assert frac_sub(a, zero) == a
-        neg = frac_sub(zero, a)
-        assert neg.exponent_bound() == a.exponent_bound() == 2
-        assert neg.support() == [(Fraction(1, 2), -1), (Fraction(3, 2), -3)]
-        assert frac_sub(a, a).is_zero()
 
     def test_frac_equal_to_reports_first_mismatch(self):
         a = FracSeries.make(2, 1, PowerSeries((1, 0, 2, 0, 3)))

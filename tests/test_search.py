@@ -12,7 +12,7 @@ from newform_products.cli import main
 from newform_products.elliptic import an_expansion, curve_from_quintuple
 from newform_products.errors import PrecisionExceeded, UnknownLevel
 from newform_products.products import ExponentSequence, unit_product
-from newform_products.qseries import FracSeries, frac_mul, frac_pow, frac_subst_scale
+from newform_products.qseries import FracSeries, frac_mul
 from newform_products.registry import builtin_table1, extend_block, record_for
 from newform_products.search import (
     MATCH,
@@ -24,6 +24,8 @@ from newform_products.search import (
     eta_quotient_search,
     match_against,
 )
+
+from oracles import frac_pow, frac_subst_scale
 
 
 # Oracles: the constraint filter in Fractions over every atom multiset, and

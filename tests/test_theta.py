@@ -5,15 +5,19 @@ from fractions import Fraction
 import pytest
 
 from newform_products.elliptic import an_expansion, curve_from_quintuple
-from newform_products.products import unit_product
-from newform_products.qseries import frac_equal_to, frac_subst_scale, frac_pow
+from newform_products import theta
+from newform_products.eta import eta_signed
+from newform_products.products import ExponentSequence, unit_product
+from newform_products.qseries import FracSeries, frac_equal_to
 from newform_products.theta import (
     ETA256_CURVE,
     ETA256_CURVE_ISOGENOUS,
     MonomialArg,
     WEIGHT4_PRINTED,
+    _add_signed_factors,
+    _eta256_squared,
+    _expand,
     eta256_block,
-    eta256_series,
     phi,
     psi_neg_q2,
     theta_product,
@@ -23,7 +27,7 @@ from newform_products.theta import (
     weight4_series,
 )
 
-from oracles import psi
+from oracles import frac_pow, psi
 
 PAIRS = [
     (MonomialArg(1, 1, 1), MonomialArg(1, 1, 1)),
@@ -95,15 +99,15 @@ class TestEta256Block:
         assert f.coeffs == g.coeffs
 
     def test_series_substitution_matches_counting(self):
-        e = eta256_series(14)
-        f4 = frac_subst_scale(e, 4)
+        # f_256 = eta256(q^4) = q * U(q^4) for U = prod (1 - q^n)^(a_n)
+        u = unit_product(eta256_block(13), 13)
         f = an_expansion(curve_from_quintuple(ETA256_CURVE), 50)
         for n in range(1, 50):
-            assert f4.coeff_at(Fraction(n)) == f.coeffs[n], n
+            assert f.coeffs[n] == (u.coeffs[(n - 1) // 4] if n % 4 == 1 else 0), n
 
     def test_leading_exponent(self):
-        s = eta256_series(8)
-        assert Fraction(s.offset, s.denom) == Fraction(1, 4)
+        # eta256 = q^(1/4) (1 + O(q)), so eta256^2(q^2) starts at q^1
+        assert weight4_series(8).coeffs[:2] == (0, 1)
 
 
 class TestWeight4:
@@ -134,8 +138,51 @@ class TestIdentities:
         # the theta-form identity distinguishes eta256^2 from a scaled fake:
         # phi(q)*psi^2(-q^2) has q^0 coefficient 1, eta256^2/q^(1/2) starts 1, -8
         lhs = phi(30)
-        e = eta256_series(16)
-        sq = frac_pow(e, 2)
-        assert sq.coeff_at(Fraction(1, 2)) == 1
-        assert sq.coeff_at(Fraction(3, 2)) == -8
+        assert _eta256_squared(16).coeffs[:2] == (1, -8)
         assert lhs.coeffs[0] == 1
+
+    def test_perturbed_block_fails_both_at_first_changed_term(self, monkeypatch):
+        # a_5 + 1 multiplies eta256^2 by (1 - q^5)^2 = 1 - 2q^5 + ...
+        block = theta.eta256_block
+
+        def bumped(order):
+            a = list(block(order).g)
+            a[4] += 1
+            return ExponentSequence(tuple(a))
+
+        monkeypatch.setattr(theta, "eta256_block", bumped)
+        assert verify_eta256_identities(30) == (False, False, Fraction(5))
+
+    def test_identity_2_mismatch_read_in_eta256_squared(self, monkeypatch):
+        # one more factor (1 - q^2) beside the eta(-q^2) powers changes only
+        # identity 2, at q^2 of q^(-1/2) eta256^2, which is q^(5/2) of eta256^2
+        # (theta_product, which the check does not call, passes r = 1)
+        add = theta._add_signed_factors
+
+        def bumped(g, first, step, sign, ratio, r):
+            add(g, first, step, sign, ratio, r)
+            if r != 1:
+                g[2] += 1
+
+        monkeypatch.setattr(theta, "_add_signed_factors", bumped)
+        assert verify_eta256_identities(30) == (True, False, Fraction(5, 2))
+
+
+class TestSignedFactors:
+    @pytest.mark.parametrize("r", [-2, 2, 12])
+    def test_equals_power_of_eta_signed(self, r):
+        # eta(-q^2)^r = q^(r/12) prod (1 - (-1)^n q^(2n))^r
+        order = 60
+        g = [0] * order
+        _add_signed_factors(g, 2, 2, -1, -1, r)
+        ours = FracSeries.make(12, r, _expand(g).subst_monomial(1, 12))
+        theirs = frac_pow(eta_signed(2, -1, order // 2 + 1), r)
+        ok, where = frac_equal_to(ours, theirs, order - 1)
+        assert ok, where
+
+    def test_last_factor_inside_the_order(self):
+        # 1 + q^3 = (1 - q^6) / (1 - q^3): the q^6 term falls outside order 6
+        g = [0] * 6
+        _add_signed_factors(g, 3, 3, -1, 1, 1)
+        assert g == [0, 0, 0, -1, 0, 0]
+        assert _expand(g).coeffs == (1, 0, 0, 1, 0, 0)
