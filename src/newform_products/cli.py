@@ -209,19 +209,19 @@ def cmd_theta(args) -> dict:
                 }
             )
     if args.verify_eta256:
-        ok1, ok2, at = verify_eta256_identities(args.order)
+        ok1, ok2, (at1, at2) = verify_eta256_identities(args.order)
         checks.append(
             {
                 "check": "eta256 theta-form identity",
                 "ok": ok1,
-                "first_mismatch": str(at) if not ok1 and at is not None else None,
+                "first_mismatch": str(at1) if at1 is not None else None,
             }
         )
         checks.append(
             {
                 "check": "eta256 eta-quotient identity",
                 "ok": ok2,
-                "first_mismatch": str(at) if not ok2 and at is not None else None,
+                "first_mismatch": str(at2) if at2 is not None else None,
             }
         )
     if args.verify_e2:

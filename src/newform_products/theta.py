@@ -7,11 +7,13 @@ theta(a, b) = sum_{n in Z} a^(n(n+1)/2) b^(n(n-1)/2)
 Arguments are restricted to sign * q^(num/den); that covers every
 specialization needed here and keeps everything in single-variable series.
 
-Every product here (the triple product, eta256^2 and the eta powers of
-identity 2) is written as prod (1 - q^k)^(g_k) and expanded by one
-unit_product call.  A factor 1 + x becomes (1 - x^2)/(1 - x), and a
-prefactor q^(t r/24) of eta^r(+-q^t) is carried as an exponent, not as a
-series.  Series powers remain only for the phi and psi sums of identity 1.
+Every product here (the triple product and the eta powers of identity 2)
+is written as prod (1 - q^k)^(g_k) and expanded by one unit_product call.
+A factor 1 + x becomes (1 - x^2)/(1 - x), and a prefactor q^(t r/24) of
+eta^r(+-q^t) is carried as an exponent, not as a series.  eta256^2 needs
+no product at all: point counting gives eta256 in coefficient form, and one
+series squaring gives its square.  Series powers remain only for that
+square and the phi and psi sums of identity 1.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import an_expansion, curve_from_quintuple
-from .errors import InvalidArgs
-from .products import ExponentSequence, block_profile, extract_exponents, unit_product
+from .errors import BlockMismatch, InvalidArgs
+from .products import ExponentSequence, unit_product
 from .qseries import FracSeries, PowerSeries
 
 ETA256_CURVE = (0, 0, 0, -2, 0)
@@ -150,24 +152,22 @@ def _as_power_series(s: FracSeries, order: int) -> PowerSeries:
     return PowerSeries(tuple(out))
 
 
-def eta256_block(order: int) -> ExponentSequence:
-    """Exponents a_n of the conductor-256 building block, from point counting.
-
-    f_256(q) = eta256(q^4) with eta256 = q^(1/4) prod (1 - q^n)^(a_n); the a_n
-    are the extracted product exponents of f_256 read on the t=4 grid.
-    """
-    f = an_expansion(curve_from_quintuple(ETA256_CURVE), 4 * order + 2)
-    profile = block_profile(extract_exponents(f), 1, 4)
-    return ExponentSequence(profile.a[:order])
-
-
 def _eta256_squared(order: int) -> PowerSeries:
-    """q^(-1/2) eta256^2 = prod (1 - q^n)^(2 a_n) to the given order."""
-    return _expand([0, *(2 * a for a in eta256_block(order - 1).g)])
+    """q^(-1/2) eta256^2 = U^2 to the given order.
+
+    f_256(q) = eta256(q^4) = q U(q^4) with U = q^(-1/4) eta256(q), so U is
+    read off the point count at every n = 1 (mod 4).
+    """
+    f = an_expansion(curve_from_quintuple(ETA256_CURVE), 4 * order - 2)
+    for n, c in enumerate(f.coeffs):
+        if n % 4 != 1 and c != 0:
+            raise BlockMismatch(f"f_{n} = {c} nonzero off n = 1 (mod 4)")
+    u = PowerSeries(f.coeffs[1::4])
+    return u * u
 
 
 def weight4_series(order: int) -> PowerSeries:
-    """eta256^2(q^2) = q * prod (1 - q^(2n))^(2 a_n); integer exponents."""
+    """eta256^2(q^2) = q U(q^2)^2; integer exponents."""
     c = [0] * order
     c[1::2] = _eta256_squared(max(1, order // 2)).coeffs[: order // 2]
     return PowerSeries(tuple(c))
@@ -202,20 +202,20 @@ def verify_weight4(order: int) -> dict:
     }
 
 
-def verify_eta256_identities(order: int) -> tuple[bool, bool, object]:
+def verify_eta256_identities(order: int) -> tuple[bool, bool, tuple]:
     """Both closed forms for eta256^2, checked as exact series equalities.
 
     Identity 1: q^(-1/2) eta256^2(q) = phi^2(q^2) psi^2(-q^2) (phi^4(q^2) - 8q psi^4(-q^2))
     Identity 2: eta256^2(q) = (eta^12(-q^2) - 8 eta^12(q^4)) / (eta^2(-q^2) eta^2(q^4))
 
     Each eta power eta^r(+-q^t) is q^(t r/24) times a product, so the
-    prefactors are q^(1/2) for eta256^2 (eta256 = q^(1/4) prod (1 - q^n)^(a_n)),
+    prefactors are q^(1/2) for eta256^2 (eta256 = q^(1/4) U),
     q^1 for eta^12(-q^2), q^2 for eta^12(q^4), and q^(1/6) q^(1/3) = q^(1/2)
     for the denominator.  Dividing identity 2 by q^(1/2) leaves
-    P = X - 8q Y in integer series, with P = prod (1 - q^n)^(2 a_n),
-    X = eta^12(-q^2) / D and Y = eta^12(q^4) / D stripped of their
-    prefactors, and D the denominator; each is one unit_product call on
-    combined exponents.
+    P = X - 8q Y in integer series, with P = U^2, X = eta^12(-q^2) / D and
+    Y = eta^12(q^4) / D stripped of their prefactors, and D the
+    denominator; X and Y are each one unit_product call on combined
+    exponents.
 
     Identity 2 is sensitive to the branch convention for eta(-q^2); with the
     positive-branch prefactor q^(1/12) used by eta_signed, the second
@@ -223,8 +223,9 @@ def verify_eta256_identities(order: int) -> tuple[bool, bool, object]:
     sides forces this: the inner products are even in q, so any extra odd
     q-power on one numerator term is inconsistent).
 
-    Returns (ok1, ok2, first mismatch exponent or None); the exponent is
-    read in q^(-1/2) eta256^2 for identity 1 and in eta256^2 for identity 2.
+    Returns (ok1, ok2, (at1, at2)), each at the first mismatch exponent of
+    its identity or None; at1 is read in q^(-1/2) eta256^2 and at2 in
+    eta256^2.
     """
     if order < 4:
         raise ValueError("identity check needs order >= 4")
@@ -250,8 +251,7 @@ def verify_eta256_identities(order: int) -> tuple[bool, bool, object]:
     at2 = _first_mismatch(lhs, _expand(g_x) - q_y.scale(8))
     if at2 is not None:
         at2 += Fraction(1, 2)
-    first = at1 if at1 is not None else at2
-    return at1 is None, at2 is None, first
+    return at1 is None, at2 is None, (at1, at2)
 
 
 def _first_mismatch(a: PowerSeries, b: PowerSeries) -> Fraction | None:

@@ -10,6 +10,7 @@ from fractions import Fraction
 from operator import mul
 
 from newform_products.arith import factor, is_prime
+from newform_products.elliptic import an_expansion, curve_from_quintuple
 from newform_products.errors import (
     InternalIntegralityFailure,
     NonUnitConstantTerm,
@@ -17,9 +18,14 @@ from newform_products.errors import (
     SingularCurve,
 )
 from newform_products.eta import EtaQuotient, dedekind_eta
-from newform_products.products import ExponentSequence, _monic_unit_part
+from newform_products.products import (
+    ExponentSequence,
+    _monic_unit_part,
+    block_profile,
+    extract_exponents,
+)
 from newform_products.qseries import FracSeries, PowerSeries, _normalize, frac_mul
-from newform_products.theta import MonomialArg, _as_power_series, theta_sum
+from newform_products.theta import ETA256_CURVE, MonomialArg, _as_power_series, theta_sum
 
 
 def binomial(g: int, k: int) -> int:
@@ -104,6 +110,17 @@ def euler_product_dense(order: int) -> PowerSeries:
     for n in range(1, order):
         p = p * PowerSeries.from_terms({0: 1, n: -1}, order)
     return p
+
+
+def eta256_block(order: int) -> ExponentSequence:
+    """Exponents a_n of the conductor-256 building block, from point counting.
+
+    f_256(q) = eta256(q^4) with eta256 = q^(1/4) prod (1 - q^n)^(a_n); the a_n
+    are the extracted product exponents of f_256 read on the t=4 grid.
+    """
+    f = an_expansion(curve_from_quintuple(ETA256_CURVE), 4 * order + 2)
+    profile = block_profile(extract_exponents(f), 1, 4)
+    return ExponentSequence(profile.a[:order])
 
 
 def psi(order: int) -> PowerSeries:

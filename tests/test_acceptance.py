@@ -31,14 +31,13 @@ from newform_products.registry import builtin_table1, record_for
 from newform_products.search import enumerate_candidates, eta_quotient_search
 from newform_products.theta import (
     MonomialArg,
-    eta256_block,
     theta_product,
     theta_sum,
     verify_eta256_identities,
     verify_weight4,
 )
 
-from oracles import count_points_naive, extract_exponents_peeling
+from oracles import count_points_naive, eta256_block, extract_exponents_peeling
 
 
 def report(number: int, ok: bool, detail: str = "") -> None:

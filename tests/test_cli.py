@@ -1,13 +1,18 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import csv
+import importlib.util
 import io
 import json
+import pathlib
+from fractions import Fraction
 
 import pytest
 
 from newform_products import cli
 from newform_products.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def run(*argv):
@@ -141,6 +146,16 @@ class TestTheta:
         code, text = run("theta", "--verify-eta256", "--order", "30")
         assert code == EXIT_OK
 
+    def test_eta256_rows_show_own_mismatch(self, monkeypatch):
+        monkeypatch.setattr(cli, "verify_eta256_identities",
+                            lambda order: (False, False, (Fraction(5), Fraction(11, 2))))
+        code, text = run("theta", "--verify-eta256", "--order", "30")
+        assert code == EXIT_VIOLATION
+        assert text.splitlines() == [
+            "FAIL  eta256 theta-form identity  first mismatch at 5",
+            "FAIL  eta256 eta-quotient identity  first mismatch at 11/2",
+        ]
+
     def test_e2(self):
         code, text = run("theta", "--verify-e2", "--order", "100")
         assert code == EXIT_OK
@@ -252,3 +267,19 @@ class TestVerifyAll:
     def test_usage_error(self):
         code, _ = run("no-such-command")
         assert code == EXIT_USAGE
+
+
+class TestBenchVerifyCommands:
+    def test_full_size_match_references(self):
+        # the benchmark's verify workload rejects a run whose output differs
+        # from bench/references.json; check both commands here, in-process
+        spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        references = json.loads((BENCH / "references.json").read_text(encoding="utf-8"))
+        for argv in workloads.verify_argvs("full"):
+            code, text = run(*argv)
+            doc = json.loads(text)
+            key = workloads.command_key(argv)
+            assert workloads.reference_record(code, doc) == references[key], key
+            assert workloads.anchor_error(argv, doc) is None, key

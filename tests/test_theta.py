@@ -1,14 +1,16 @@
 """Two-variable theta series, the conductor-256 block, and its identities."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 from newform_products.elliptic import an_expansion, curve_from_quintuple
-from newform_products import theta
+from newform_products import products, theta
+from newform_products.errors import BlockMismatch
 from newform_products.eta import eta_signed
 from newform_products.products import ExponentSequence, unit_product
-from newform_products.qseries import FracSeries, frac_equal_to
+from newform_products.qseries import FracSeries, PowerSeries, frac_equal_to
 from newform_products.theta import (
     ETA256_CURVE,
     ETA256_CURVE_ISOGENOUS,
@@ -17,7 +19,6 @@ from newform_products.theta import (
     _add_signed_factors,
     _eta256_squared,
     _expand,
-    eta256_block,
     phi,
     psi_neg_q2,
     theta_product,
@@ -27,7 +28,26 @@ from newform_products.theta import (
     weight4_series,
 )
 
-from oracles import frac_pow, psi
+from oracles import eta256_block, frac_pow, psi
+
+
+def eta256_squared_by_product(order):
+    """q^(-1/2) eta256^2 = prod (1 - q^n)^(2 a_n), from the extracted a_n."""
+    a = eta256_block(order - 1).g
+    return unit_product(ExponentSequence(tuple(2 * v for v in a)), order)
+
+
+def bump_count(monkeypatch, n, delta):
+    """Make theta's point count return f_n + delta."""
+    count = theta.an_expansion
+
+    def bumped(curve, order):
+        f = list(count(curve, order).coeffs)
+        f[n] += delta
+        return PowerSeries(tuple(f))
+
+    monkeypatch.setattr(theta, "an_expansion", bumped)
+
 
 PAIRS = [
     (MonomialArg(1, 1, 1), MonomialArg(1, 1, 1)),
@@ -109,6 +129,38 @@ class TestEta256Block:
         # eta256 = q^(1/4) (1 + O(q)), so eta256^2(q^2) starts at q^1
         assert weight4_series(8).coeffs[:2] == (0, 1)
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 22, 50, 200, 801])
+    def test_square_equals_product_route(self, order):
+        assert _eta256_squared(order) == eta256_squared_by_product(order)
+        c = [0] * order
+        c[1::2] = eta256_squared_by_product(max(1, order // 2)).coeffs[: order // 2]
+        assert weight4_series(order) == PowerSeries(tuple(c))
+
+    def test_no_exponent_extraction(self, monkeypatch):
+        # the square comes from the point count in coefficient form, so
+        # neither check converts it to exponents and back
+        original = products.extract_exponents
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("newform_products"):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        assert verify_eta256_identities(800) == (True, True, (None, None))
+        report = verify_weight4(800)
+        assert report["printed_ok"] and report["multiplicative_ok"]
+        assert calls == []
+
+    def test_off_grid_coefficient_raises(self, monkeypatch):
+        bump_count(monkeypatch, 2, 1)
+        with pytest.raises(BlockMismatch, match="f_2 = 1"):
+            _eta256_squared(10)
+
 
 class TestWeight4:
     def test_printed_coefficients(self):
@@ -142,16 +194,12 @@ class TestIdentities:
         assert lhs.coeffs[0] == 1
 
     def test_perturbed_block_fails_both_at_first_changed_term(self, monkeypatch):
-        # a_5 + 1 multiplies eta256^2 by (1 - q^5)^2 = 1 - 2q^5 + ...
-        block = theta.eta256_block
-
-        def bumped(order):
-            a = list(block(order).g)
-            a[4] += 1
-            return ExponentSequence(tuple(a))
-
-        monkeypatch.setattr(theta, "eta256_block", bumped)
-        assert verify_eta256_identities(30) == (False, False, Fraction(5))
+        # f_21 - 1 is U_5 - 1, which changes U^2 = q^(-1/2) eta256^2 first at
+        # q^5 (by -2, as a_5 + 1 would); identity 2 reads it in eta256^2
+        bump_count(monkeypatch, 21, -1)
+        assert verify_eta256_identities(30) == (
+            False, False, (Fraction(5), Fraction(11, 2))
+        )
 
     def test_identity_2_mismatch_read_in_eta256_squared(self, monkeypatch):
         # one more factor (1 - q^2) beside the eta(-q^2) powers changes only
@@ -165,7 +213,7 @@ class TestIdentities:
                 g[2] += 1
 
         monkeypatch.setattr(theta, "_add_signed_factors", bumped)
-        assert verify_eta256_identities(30) == (True, False, Fraction(5, 2))
+        assert verify_eta256_identities(30) == (True, False, (None, Fraction(5, 2)))
 
 
 class TestSignedFactors:
