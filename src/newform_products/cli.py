@@ -1,7 +1,11 @@
 """Command-line surface.
 
-Every subcommand builds a structured document, which `main` emits as plain
-text for side-by-side reading or json/csv for machines.  Output is bytewise
+Every subcommand builds its records once and derives from them a
+structured document, which `main` emits as plain text (the results'
+`lines`) for side-by-side reading or json/csv (`header` and `rows`) for
+machines.  `_sequence` renders the indexed sequences of `an` and
+`exponents`; `_verdicts` renders the pass/fail records of `theta` and
+`verify-all`, which share the triple-product checks.  Output is bytewise
 deterministic for identical inputs; big integers are always serialized as
 decimal strings.
 
@@ -14,14 +18,14 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .elliptic import an_expansion, curve_from_quintuple
 from .errors import NewformError, ZeroSequence
 from .eta import verify_e2_identity
 from .products import block_profile, extract_exponents, infer_block
-from .qseries import frac_equal_to
+from .qseries import PowerSeries, frac_equal_to
 from .registry import builtin_table1, extend_block, load_registry
 from .search import assemble, enumerate_candidates, eta_quotient_search, match_against
 from .theta import (
@@ -76,39 +80,114 @@ def _status_exit(doc: dict) -> int:
     return {"ok": EXIT_OK, "violation": EXIT_VIOLATION}.get(doc["status"], EXIT_USAGE)
 
 
+# -- renderers -------------------------------------------------------------
+
+
+def _sequence(symbol: str, values: list[str]) -> dict:
+    """header, rows and lines of v_1, v_2, ..., each shown as `symbol_n = v`."""
+    return {
+        "header": ["n", f"{symbol}_n"],
+        "rows": [[n, v] for n, v in enumerate(values, start=1)],
+        "lines": [f"{symbol}_{n} = {v}" for n, v in enumerate(values, start=1)],
+    }
+
+
+class Verdicts(NamedTuple):
+    """Results keys and line words for records (name, ok, note); a failing
+    record with a nonempty note gets `failed_note`, and `tally` a last line."""
+
+    records: str
+    name: str
+    note: str
+    passed: str
+    failed_note: str
+    tally: bool = False
+
+
+THETA_VERDICTS = Verdicts("checks", "check", "first_mismatch", "ok  ", "  first mismatch at {}")
+VERIFY_ALL_VERDICTS = Verdicts("items", "item", "detail", "PASS", "  ({})", tally=True)
+
+
+def _verdicts(command: str, inputs: dict, style: Verdicts, records: list[tuple]) -> dict:
+    """The document of records (name, ok, note); any failure is a violation."""
+    lines = [
+        f"{style.passed if ok else 'FAIL'}  {name}"
+        + (style.failed_note.format(note) if not ok and note != "" else "")
+        for name, ok, note in records
+    ]
+    passed = sum(ok for _, ok, _ in records)
+    if style.tally:
+        lines.append(f"{passed}/{len(records)} PASS")
+    results = {
+        style.records: [
+            {style.name: name, "ok": ok, style.note: note} for name, ok, note in records
+        ],
+        "header": [style.name, "ok"],
+        "rows": [[name, ok] for name, ok, _ in records],
+        "lines": lines,
+    }
+    return _document(command, inputs, results, "ok" if passed == len(records) else "violation")
+
+
+def _str_or_none(value) -> str | None:
+    return None if value is None else str(value)
+
+
+TRIPLE_PAIRS = [
+    (MonomialArg(1, 1), MonomialArg(1, 1)),
+    (MonomialArg(1, 1), MonomialArg(1, 3)),
+    (MonomialArg(-1, 1), MonomialArg(-1, 3)),
+    (MonomialArg(1, 2), MonomialArg(1, 2)),
+    (MonomialArg(1, 1), MonomialArg(1, 5)),
+]
+
+
+def _arg_str(a: MonomialArg) -> str:
+    sign = "-" if a.sign < 0 else ""
+    return f"{sign}q" if a.exponent == 1 else f"{sign}q^{a.exponent}"
+
+
+def _triple_checks(order: int):
+    """(f(a,b), ok, first mismatch or None) of the triple product per pair."""
+    for a, b in TRIPLE_PAIRS:
+        s = theta_sum(a, b, order)
+        p = theta_product(a, b, order)
+        ok, at = frac_equal_to(s, p, order)
+        yield f"f({_arg_str(a)},{_arg_str(b)})", ok, at
+
+
+def _extensions(records, upto: int):
+    """(record, error message or None, a shown) of each record extended to upto."""
+    for rec in records:
+        try:
+            yield rec, None, extend_block(rec, upto).a_extended
+        except NewformError as ex:
+            yield rec, str(ex), rec.a_printed
+
+
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_an(args) -> dict:
+def _expansion(args) -> tuple[dict, PowerSeries]:
+    """The inputs and the newform expansion of the --curve, --order command."""
     curve = curve_from_quintuple(_parse_quintuple(args.curve))
-    series = an_expansion(curve, args.order)
+    return {"curve": list(curve.quintuple), "order": args.order}, an_expansion(curve, args.order)
+
+
+def cmd_an(args) -> dict:
+    inputs, series = _expansion(args)
     coeffs = [str(c) for c in series.coeffs[1:]]
-    return _document(
-        "an",
-        {"curve": list(curve.quintuple), "order": args.order},
-        {
-            "coefficients": coeffs,
-            "header": ["n", "f_n"],
-            "rows": [[n + 1, c] for n, c in enumerate(coeffs)],
-            "lines": [f"f_{n + 1} = {c}" for n, c in enumerate(coeffs)],
-        },
-        "ok",
-    )
+    return _document("an", inputs, {"coefficients": coeffs, **_sequence("f", coeffs)}, "ok")
 
 
 def cmd_exponents(args) -> dict:
     if args.order < 3:
         raise ValueError(f"exponents needs --order >= 3, got {args.order}")
-    curve = curve_from_quintuple(_parse_quintuple(args.curve))
-    series = an_expansion(curve, args.order)
+    inputs, series = _expansion(args)
     g = extract_exponents(series)
     g_str = [str(v) for v in g.g]  # each big g_n is converted to decimal once
-    results = {
-        "g": g_str,
-        "header": ["n", "g_n"],
-        "rows": [[n, v] for n, v in enumerate(g_str, start=1)],
-    }
-    lines = [f"g_{n} = {v}" for n, v in enumerate(g_str, start=1)]
+    results = {"g": g_str, **_sequence("g", g_str)}
+    lines = results["lines"]
     diagnostics = []
     try:
         r, t = infer_block(g)
@@ -128,43 +207,24 @@ def cmd_exponents(args) -> dict:
             diagnostics.append(note)
     except ZeroSequence:
         diagnostics.append("all exponents zero in the computed range")
-    results["lines"] = lines
-    return _document(
-        "exponents",
-        {"curve": list(curve.quintuple), "order": args.order},
-        results,
-        "ok",
-        diagnostics,
-    )
+    return _document("exponents", inputs, results, "ok", diagnostics)
 
 
 def cmd_table1(args) -> dict:
     if args.extend is not None and args.extend < 12:
         raise ValueError("extension target must be >= 12")
     records = load_registry(args.registry) if args.registry else builtin_table1()
-    upto = 12 if args.extend is None else args.extend
     rows = []
     lines = []
-    failures = 0
-    for rec in records:
-        try:
-            extended = extend_block(rec, upto)
-            status = "PASS"
-            a_shown = extended.a_extended
-        except NewformError as ex:
-            status = f"FAIL ({ex})"
-            failures += 1
-            a_shown = rec.a_printed
+    for rec, failure, a_shown in _extensions(records, args.extend or 12):
+        status = "PASS" if failure is None else f"FAIL ({failure})"
         rows.append([rec.conductor, rec.r_check, rec.t_check, status])
         lines.append(
             f"N={rec.conductor:5d}  r={rec.r_check} t={rec.t_check}  {status}"
-            + (
-                "  a=" + ",".join(str(v) for v in a_shown)
-                if args.extend
-                else ""
-            )
+            + ("  a=" + ",".join(str(v) for v in a_shown) if args.extend else "")
         )
-    lines.append(f"{len(records) - failures}/{len(records)} PASS")
+    passed = sum(row[3] == "PASS" for row in rows)
+    lines.append(f"{passed}/{len(rows)} PASS")
     return _document(
         "table1",
         {"verify": True, "extend": args.extend, "registry": args.registry},
@@ -172,20 +232,11 @@ def cmd_table1(args) -> dict:
             "rows": rows,
             "header": ["conductor", "r_check", "t_check", "status"],
             "lines": lines,
-            "passed": len(records) - failures,
-            "total": len(records),
+            "passed": passed,
+            "total": len(rows),
         },
-        "ok" if failures == 0 else "violation",
+        "ok" if passed == len(rows) else "violation",
     )
-
-
-TRIPLE_PAIRS = [
-    ((1, 1, 1), (1, 1, 1)),
-    ((1, 1, 1), (1, 3, 1)),
-    ((-1, 1, 1), (-1, 3, 1)),
-    ((1, 2, 1), (1, 2, 1)),
-    ((1, 1, 1), (1, 5, 1)),
-]
 
 
 def cmd_theta(args) -> dict:
@@ -197,76 +248,25 @@ def cmd_theta(args) -> dict:
         raise ValueError("triple-product check needs order >= 2")
     checks = []
     if args.verify_triple:
-        for a, b in TRIPLE_PAIRS:
-            s = theta_sum(MonomialArg(*a), MonomialArg(*b), args.order)
-            p = theta_product(MonomialArg(*a), MonomialArg(*b), args.order)
-            ok, at = frac_equal_to(s, p, args.order)
-            checks.append(
-                {
-                    "check": f"triple-product f({_arg_str(a)},{_arg_str(b)})",
-                    "ok": ok,
-                    "first_mismatch": str(at) if at is not None else None,
-                }
-            )
+        for pair, ok, at in _triple_checks(args.order):
+            checks.append((f"triple-product {pair}", ok, _str_or_none(at)))
     if args.verify_eta256:
         ok1, ok2, (at1, at2) = verify_eta256_identities(args.order)
-        checks.append(
-            {
-                "check": "eta256 theta-form identity",
-                "ok": ok1,
-                "first_mismatch": str(at1) if at1 is not None else None,
-            }
-        )
-        checks.append(
-            {
-                "check": "eta256 eta-quotient identity",
-                "ok": ok2,
-                "first_mismatch": str(at2) if at2 is not None else None,
-            }
-        )
+        checks.append(("eta256 theta-form identity", ok1, _str_or_none(at1)))
+        checks.append(("eta256 eta-quotient identity", ok2, _str_or_none(at2)))
     if args.verify_e2:
-        checks.append({"check": "E2 logarithmic-derivative identity",
-                       "ok": verify_e2_identity(args.order), "first_mismatch": None})
+        checks.append(("E2 logarithmic-derivative identity", verify_e2_identity(args.order), None))
     if args.verify_weight4:
         report = verify_weight4(args.order)
-        checks.append(
-            {
-                "check": "weight-4 printed coefficients",
-                "ok": report["printed_ok"],
-                "first_mismatch": str(report["printed_failures"][:1] or None),
-            }
-        )
-        checks.append(
-            {
-                "check": "weight-4 multiplicativity",
-                "ok": report["multiplicative_ok"],
-                "first_mismatch": str(report["multiplicative_failures"][:1] or None),
-            }
-        )
+        # a passing check reports the string "None", not null; the bench
+        # digests pin it, so it changes with their next refresh
+        checks.append(("weight-4 printed coefficients", report["printed_ok"],
+                       str(report["printed_failures"][:1] or None)))
+        checks.append(("weight-4 multiplicativity", report["multiplicative_ok"],
+                       str(report["multiplicative_failures"][:1] or None)))
     if not checks:
         raise ValueError("choose at least one of --verify-triple/--verify-eta256/--verify-e2/--verify-weight4")
-    all_ok = all(c["ok"] for c in checks)
-    return _document(
-        "theta",
-        {"order": args.order},
-        {
-            "checks": checks,
-            "header": ["check", "ok"],
-            "rows": [[c["check"], c["ok"]] for c in checks],
-            "lines": [
-                f"{'ok  ' if c['ok'] else 'FAIL'}  {c['check']}"
-                + (f"  first mismatch at {c['first_mismatch']}" if not c["ok"] else "")
-                for c in checks
-            ],
-        },
-        "ok" if all_ok else "violation",
-    )
-
-
-def _arg_str(a) -> str:
-    sign, num, den = a
-    e = Fraction(num, den)
-    return f"{'-' if sign < 0 else ''}q^{e}" if e != 1 else f"{'-' if sign < 0 else ''}q"
+    return _verdicts("theta", {"order": args.order}, THETA_VERDICTS, checks)
 
 
 def cmd_search(args) -> dict:
@@ -291,9 +291,7 @@ def cmd_search(args) -> dict:
             verdict = match_against(cand, series, target)
             entry["verdict"] = verdict.verdict
             entry["match_order"] = verdict.match_order
-            entry["mismatch_at"] = (
-                str(verdict.mismatch_at) if verdict.mismatch_at is not None else None
-            )
+            entry["mismatch_at"] = _str_or_none(verdict.mismatch_at)
         entries.append(entry)
     lines = [
         "candidate "
@@ -347,75 +345,44 @@ def cmd_etaquotient(args) -> dict:
     )
 
 
-def _verify_all_items() -> list[dict]:
-    items = []
+def _verify_all_items():
+    """(item, ok, detail) of each check of the offline verification suite."""
+    table = builtin_table1()
+    for rec, failure, _ in _extensions(table, 12):
+        yield f"table1 row {rec.conductor}", failure is None, failure or ""
 
-    def add(name: str, ok: bool, detail: str = ""):
-        items.append({"item": name, "ok": bool(ok), "detail": detail})
-
-    for rec in builtin_table1():
-        try:
-            extend_block(rec, 12)
-            add(f"table1 row {rec.conductor}", True)
-        except NewformError as ex:
-            add(f"table1 row {rec.conductor}", False, str(ex))
-
-    for rec in builtin_table1():
+    for rec in table:
         if len(rec.curves) > 1:
             series = [
                 an_expansion(curve_from_quintuple(c), 101).coeffs for c in rec.curves
             ]
-            add(f"two-curve agreement N={rec.conductor}", series[0] == series[1])
+            yield f"two-curve agreement N={rec.conductor}", series[0] == series[1], ""
 
-    add("E2 identity to order 300", verify_e2_identity(300))
-
-    for a, b in TRIPLE_PAIRS:
-        s = theta_sum(MonomialArg(*a), MonomialArg(*b), 200)
-        p = theta_product(MonomialArg(*a), MonomialArg(*b), 200)
-        ok, _ = frac_equal_to(s, p, 200)
-        add(f"triple product f({_arg_str(a)},{_arg_str(b)}) to order 200", ok)
+    yield "E2 identity to order 300", verify_e2_identity(300), ""
+    for pair, ok, _ in _triple_checks(200):
+        yield f"triple product {pair} to order 200", ok, ""
 
     ok1, ok2, _ = verify_eta256_identities(50)
-    add("eta256 theta-form identity to order 50", ok1)
-    add("eta256 eta-quotient identity to order 50", ok2)
+    yield "eta256 theta-form identity to order 50", ok1, ""
+    yield "eta256 eta-quotient identity to order 50", ok2, ""
     w4 = verify_weight4(200)
-    add("weight-4 printed coefficients", w4["printed_ok"])
-    add("weight-4 multiplicativity below 200", w4["multiplicative_ok"])
+    yield "weight-4 printed coefficients", w4["printed_ok"], ""
+    yield "weight-4 multiplicativity below 200", w4["multiplicative_ok"], ""
 
-    for rec in builtin_table1():
+    for rec in table:
         forced = enumerate_candidates(
             [rec], 1, max(rec.r_check, 6), max(rec.t_check, 8)
         )
-        add(
-            f"s=1 constraint forcing N={rec.conductor}",
-            [c.parts for c in forced] == [((rec.conductor, rec.r_check, rec.t_check),)],
-        )
+        ok = [c.parts for c in forced] == [((rec.conductor, rec.r_check, rec.t_check),)]
+        yield f"s=1 constraint forcing N={rec.conductor}", ok, ""
 
     q36 = eta_quotient_search(36, 30)
-    add("eta quotient search level 36", [q.terms for q in q36] == [((6, 4),)])
-    add("eta quotient search level 37 (bounded, empty)", eta_quotient_search(37, 20) == [])
-    return items
+    yield "eta quotient search level 36", [q.terms for q in q36] == [((6, 4),)], ""
+    yield "eta quotient search level 37 (bounded, empty)", eta_quotient_search(37, 20) == [], ""
 
 
 def cmd_verify_all(args) -> dict:
-    items = _verify_all_items()
-    all_ok = all(i["ok"] for i in items)
-    return _document(
-        "verify-all",
-        {},
-        {
-            "items": items,
-            "header": ["item", "ok"],
-            "rows": [[i["item"], i["ok"]] for i in items],
-            "lines": [
-                f"{'PASS' if i['ok'] else 'FAIL'}  {i['item']}"
-                + (f"  ({i['detail']})" if i["detail"] else "")
-                for i in items
-            ]
-            + [f"{sum(i['ok'] for i in items)}/{len(items)} PASS"],
-        },
-        "ok" if all_ok else "violation",
-    )
+    return _verdicts("verify-all", {}, VERIFY_ALL_VERDICTS, list(_verify_all_items()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,25 +393,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-
     p = sub.add_parser("an", help="newform coefficients f_n from a curve")
     p.add_argument("--curve", required=True, help="a1,a2,a3,a4,a6")
     p.add_argument("--order", type=int, default=20)
-    common(p)
     p.set_defaults(func=cmd_an)
 
     p = sub.add_parser("exponents", help="product exponents g_n and block shape")
     p.add_argument("--curve", required=True, help="a1,a2,a3,a4,a6")
     p.add_argument("--order", type=int, default=14)
-    common(p)
     p.set_defaults(func=cmd_exponents)
 
     p = sub.add_parser("table1", help="verify/extend the embedded block table")
     p.add_argument("--extend", type=int, default=None, metavar="K")
     p.add_argument("--registry", default=None, help="registry file instead of builtins")
-    common(p)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("theta", help="theta/eta identity checks")
@@ -453,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-e2", action="store_true")
     p.add_argument("--verify-weight4", action="store_true")
     p.add_argument("--order", type=int, default=50)
-    common(p)
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("search", help="candidate product decompositions")
@@ -463,20 +423,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-t", type=int, default=8)
     p.add_argument("--order", type=int, default=30)
     p.add_argument("--target", default=None, help="a1,a2,a3,a4,a6 of the target curve")
-    common(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("etaquotient", help="classical eta-quotient search per level")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--order", type=int, default=30)
     p.add_argument("--max-exponent", type=int, default=24)
-    common(p)
     p.set_defaults(func=cmd_etaquotient)
 
     p = sub.add_parser("verify-all", help="one-shot offline verification suite")
-    common(p)
     p.set_defaults(func=cmd_verify_all)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
     return parser
 
 

@@ -126,9 +126,13 @@ def _expand(g: list) -> PowerSeries:
 
 
 def phi(order: int) -> PowerSeries:
-    """phi(q) = theta(q, q) = 1 + 2 sum q^(n^2)."""
-    s = theta_sum(MonomialArg(1, 1), MonomialArg(1, 1), order)
-    return _as_power_series(s, order)
+    """phi(q) = theta(q, q) = 1 + 2 sum_{n >= 1} q^(n^2)."""
+    out = {0: 1}
+    n = 1
+    while n * n < order:
+        out[n * n] = 2
+        n += 1
+    return PowerSeries.from_terms(out, order)
 
 
 def psi_neg_q2(order: int) -> PowerSeries:
@@ -140,16 +144,6 @@ def psi_neg_q2(order: int) -> PowerSeries:
         out[2 * tri] = -1 if tri % 2 else 1
         n += 1
     return PowerSeries.from_terms(out, order)
-
-
-def _as_power_series(s: FracSeries, order: int) -> PowerSeries:
-    if s.denom != 1:
-        raise InvalidArgs("series has genuinely fractional exponents")
-    out = [0] * order
-    for e, c in s.support():
-        if e < order:
-            out[int(e)] = c
-    return PowerSeries(tuple(out))
 
 
 def _eta256_squared(order: int) -> PowerSeries:

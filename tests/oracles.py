@@ -25,7 +25,7 @@ from newform_products.products import (
     extract_exponents,
 )
 from newform_products.qseries import FracSeries, PowerSeries, _normalize, frac_mul
-from newform_products.theta import ETA256_CURVE, MonomialArg, _as_power_series, theta_sum
+from newform_products.theta import ETA256_CURVE, MonomialArg, theta_sum
 
 
 def binomial(g: int, k: int) -> int:
@@ -126,7 +126,8 @@ def eta256_block(order: int) -> ExponentSequence:
 def psi(order: int) -> PowerSeries:
     """psi(q) = theta(q, q^3), supported on the triangular numbers."""
     s = theta_sum(MonomialArg(1, 1), MonomialArg(1, 3), order)
-    return _as_power_series(s, order)
+    assert s.denom == 1
+    return PowerSeries.from_terms({int(e): c for e, c in s.support()}, order)
 
 
 def mul_schoolbook(a: PowerSeries, b: PowerSeries) -> PowerSeries:

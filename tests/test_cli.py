@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -11,6 +12,9 @@ import pytest
 
 from newform_products import cli
 from newform_products.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from newform_products.errors import TableMismatch
+from newform_products.registry import builtin_table1, save_registry
+from newform_products.theta import MonomialArg, theta_sum
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -141,6 +145,69 @@ class TestTable1:
         assert "must be >= 12" in capsys.readouterr().err
 
 
+class TestTable1Failure:
+    """A registry row whose printed a_n contradicts the recomputed block."""
+
+    MISMATCH = (
+        "FAIL (conductor 37: recomputed block (1, 2, 3, 8, 16, 41, 97, 242, 598, "
+        "1532, 3898, 10067) contradicts printed (2, 2, 3, 8, 16, 41, 97, 242, 598, "
+        "1532, 3898, 10067))"
+    )
+
+    @pytest.fixture
+    def registry(self, tmp_path):
+        rows = builtin_table1()[:2]
+        a = rows[1].a_printed
+        rows[1] = dataclasses.replace(rows[1], a_printed=(a[0] + 1,) + a[1:])
+        path = tmp_path / "altered.json"
+        save_registry(rows, path)
+        return str(path)
+
+    def test_plain(self, registry):
+        code, text = run("table1", "--registry", registry)
+        assert code == EXIT_VIOLATION
+        assert text.splitlines() == [
+            "N=   36  r=4 t=6  PASS",
+            f"N=   37  r=2 t=1  {self.MISMATCH}",
+            "1/2 PASS",
+        ]
+
+    def test_plain_extend_shows_printed_row(self, registry):
+        code, text = run("table1", "--registry", registry, "--extend", "12")
+        assert code == EXIT_VIOLATION
+        assert text.splitlines() == [
+            "N=   36  r=4 t=6  PASS  a=1,1,1,1,1,1,1,1,1,1,1,1",
+            f"N=   37  r=2 t=1  {self.MISMATCH}  a=2,2,3,8,16,41,97,242,598,1532,3898,10067",
+            "1/2 PASS",
+        ]
+
+    def test_json(self, registry):
+        code, text = run("table1", "--registry", registry, "--format", "json")
+        assert code == EXIT_VIOLATION
+        doc = json.loads(text)
+        assert doc["status"] == "violation"
+        assert doc["results"] == {
+            "header": ["conductor", "r_check", "t_check", "status"],
+            "rows": [[36, 4, 6, "PASS"], [37, 2, 1, self.MISMATCH]],
+            "lines": [
+                "N=   36  r=4 t=6  PASS",
+                f"N=   37  r=2 t=1  {self.MISMATCH}",
+                "1/2 PASS",
+            ],
+            "passed": 1,
+            "total": 2,
+        }
+
+    def test_csv(self, registry):
+        code, text = run("table1", "--registry", registry, "--format", "csv")
+        assert code == EXIT_VIOLATION
+        assert text == (
+            "conductor,r_check,t_check,status\n"
+            "36,4,6,PASS\n"
+            f'37,2,1,"{self.MISMATCH}"\n'
+        )
+
+
 class TestTheta:
     def test_eta256(self):
         code, text = run("theta", "--verify-eta256", "--order", "30")
@@ -183,6 +250,93 @@ class TestTheta:
         code, text = run("theta", "--verify-triple", "--order", "2")
         assert code == EXIT_OK
         assert text.count("ok    triple-product") == 5
+
+
+class TestThetaFailure:
+    """Failing triple-product and weight-4 checks, in every format."""
+
+    TRIPLE_LINES = [
+        "FAIL  triple-product f(q,q)  first mismatch at 1",
+        "ok    triple-product f(q,q^3)",
+        "FAIL  triple-product f(-q,-q^3)  first mismatch at 1",
+        "FAIL  triple-product f(q^2,q^2)  first mismatch at 1",
+        "FAIL  triple-product f(q,q^5)  first mismatch at 3",
+    ]
+    WEIGHT4_LINES = [
+        "FAIL  weight-4 printed coefficients  first mismatch at [3]",
+        "FAIL  weight-4 multiplicativity  first mismatch at [(3, 5)]",
+    ]
+
+    @pytest.fixture
+    def wrong_product(self, monkeypatch):
+        # every product side is psi(q) = f(q, q^3), so only that pair agrees
+        monkeypatch.setattr(cli, "theta_product", lambda a, b, order: theta_sum(
+            MonomialArg(1, 1), MonomialArg(1, 3), order))
+
+    @pytest.fixture
+    def wrong_weight4(self, monkeypatch):
+        monkeypatch.setattr(cli, "verify_weight4", lambda order: {
+            "printed_ok": False, "printed_failures": [3, 5],
+            "multiplicative_ok": False, "multiplicative_failures": [(3, 5), (3, 7)],
+        })
+
+    def test_triple_plain(self, wrong_product):
+        code, text = run("theta", "--verify-triple", "--order", "10")
+        assert code == EXIT_VIOLATION
+        assert text.splitlines() == self.TRIPLE_LINES
+
+    def test_triple_json(self, wrong_product):
+        code, text = run("theta", "--verify-triple", "--order", "10", "--format", "json")
+        assert code == EXIT_VIOLATION
+        doc = json.loads(text)
+        assert doc["status"] == "violation"
+        assert [(c["ok"], c["first_mismatch"]) for c in doc["results"]["checks"]] == [
+            (False, "1"), (True, None), (False, "1"), (False, "1"), (False, "3")]
+        assert doc["results"]["lines"] == self.TRIPLE_LINES
+
+    def test_triple_csv(self, wrong_product):
+        code, text = run("theta", "--verify-triple", "--order", "10", "--format", "csv")
+        assert code == EXIT_VIOLATION
+        assert text == (
+            "check,ok\n"
+            '"triple-product f(q,q)",False\n'
+            '"triple-product f(q,q^3)",True\n'
+            '"triple-product f(-q,-q^3)",False\n'
+            '"triple-product f(q^2,q^2)",False\n'
+            '"triple-product f(q,q^5)",False\n'
+        )
+
+    def test_weight4_plain(self, wrong_weight4):
+        code, text = run("theta", "--verify-weight4", "--order", "30")
+        assert code == EXIT_VIOLATION
+        assert text.splitlines() == self.WEIGHT4_LINES
+
+    def test_weight4_json(self, wrong_weight4):
+        code, text = run("theta", "--verify-weight4", "--order", "30", "--format", "json")
+        assert code == EXIT_VIOLATION
+        doc = json.loads(text)
+        assert doc["status"] == "violation"
+        assert doc["results"] == {
+            "checks": [
+                {"check": "weight-4 printed coefficients", "ok": False,
+                 "first_mismatch": "[3]"},
+                {"check": "weight-4 multiplicativity", "ok": False,
+                 "first_mismatch": "[(3, 5)]"},
+            ],
+            "header": ["check", "ok"],
+            "rows": [["weight-4 printed coefficients", False],
+                     ["weight-4 multiplicativity", False]],
+            "lines": self.WEIGHT4_LINES,
+        }
+
+    def test_weight4_csv(self, wrong_weight4):
+        code, text = run("theta", "--verify-weight4", "--order", "30", "--format", "csv")
+        assert code == EXIT_VIOLATION
+        assert text == (
+            "check,ok\n"
+            "weight-4 printed coefficients,False\n"
+            "weight-4 multiplicativity,False\n"
+        )
 
 
 class TestSearch:
@@ -269,17 +423,119 @@ class TestVerifyAll:
         assert code == EXIT_USAGE
 
 
+class TestVerifyAllFailure:
+    """One table row and the E2 item fail; only the row carries a detail."""
+
+    @pytest.fixture(autouse=True)
+    def failing_items(self, monkeypatch):
+        extend = cli.extend_block
+
+        def extend_but_37(rec, upto):
+            if rec.conductor == 37:
+                raise TableMismatch("stubbed mismatch")
+            return extend(rec, upto)
+
+        monkeypatch.setattr(cli, "extend_block", extend_but_37)
+        monkeypatch.setattr(cli, "verify_e2_identity", lambda order: False)
+
+    def test_plain(self):
+        code, text = run("verify-all")
+        assert code == EXIT_VIOLATION
+        lines = text.splitlines()
+        assert lines[:3] == [
+            "PASS  table1 row 36",
+            "FAIL  table1 row 37  (stubbed mismatch)",
+            "PASS  table1 row 43",
+        ]
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL  table1 row 37  (stubbed mismatch)",
+            "FAIL  E2 identity to order 300",
+        ]
+        assert lines[-1] == "49/51 PASS"
+
+    def test_json(self):
+        code, text = run("verify-all", "--format", "json")
+        assert code == EXIT_VIOLATION
+        doc = json.loads(text)
+        assert doc["status"] == "violation"
+        results = doc["results"]
+        assert [i for i in results["items"] if not i["ok"]] == [
+            {"item": "table1 row 37", "ok": False, "detail": "stubbed mismatch"},
+            {"item": "E2 identity to order 300", "ok": False, "detail": ""},
+        ]
+        assert results["header"] == ["item", "ok"]
+        assert results["rows"][1] == ["table1 row 37", False]
+        assert results["lines"][1] == "FAIL  table1 row 37  (stubbed mismatch)"
+        assert results["lines"][-1] == "49/51 PASS"
+
+    def test_csv(self):
+        code, text = run("verify-all", "--format", "csv")
+        assert code == EXIT_VIOLATION
+        lines = text.splitlines()
+        assert lines[:3] == ["item,ok", "table1 row 36,True", "table1 row 37,False"]
+        assert "E2 identity to order 300,False" in lines
+        assert len(lines) == 52
+
+
+CONSISTENCY_ARGVS = {
+    "an": ["an", "--curve", "0,0,1,-1,0", "--order", "12"],
+    "exponents": ["exponents", "--curve", "0,1,1,-1,-1", "--order", "14"],
+    "table1": ["table1", "--extend", "14"],
+    "theta": ["theta", "--verify-triple", "--verify-eta256", "--verify-e2",
+              "--verify-weight4", "--order", "30"],
+    "search": ["search", "--blocks", "37,43", "--s", "2", "--max-r", "2", "--max-t", "2",
+               "--order", "20", "--target", "0,0,1,-1,0"],
+    "etaquotient": ["etaquotient", "--level", "36"],
+    "verify-all": ["verify-all"],
+}
+
+
+@pytest.mark.parametrize("argv", CONSISTENCY_ARGVS.values(), ids=CONSISTENCY_ARGVS.keys())
+def test_formats_render_one_document(argv):
+    # csv is results["header"] and results["rows"]; plain is results["lines"]
+    _, doc = run(*argv, "--format", "json")
+    results = json.loads(doc)["results"]
+    _, text = run(*argv, "--format", "csv")
+    assert list(csv.reader(io.StringIO(text))) == [results["header"]] + [
+        [str(v) for v in row] for row in results["rows"]]
+    _, text = run(*argv)
+    assert text.splitlines() == results["lines"]
+
+
 class TestBenchVerifyCommands:
-    def test_full_size_match_references(self):
-        # the benchmark's verify workload rejects a run whose output differs
-        # from bench/references.json; check both commands here, in-process
+    """Every benchmark command matches bench/references.json, in-process.
+
+    The benchmark rejects a run whose exit code, status or results digest
+    differs from its reference, so a change to any rendered view shows here.
+    """
+
+    @pytest.fixture(scope="class")
+    def bench(self):
         spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
         references = json.loads((BENCH / "references.json").read_text(encoding="utf-8"))
-        for argv in workloads.verify_argvs("full"):
+        return workloads, references
+
+    @staticmethod
+    def check(bench, size, anchors):
+        workloads, references = bench
+        commands = workloads.all_commands(size)
+        assert len(commands) == 20
+        for argv in commands:
             code, text = run(*argv)
             doc = json.loads(text)
             key = workloads.command_key(argv)
             assert workloads.reference_record(code, doc) == references[key], key
-            assert workloads.anchor_error(argv, doc) is None, key
+            if anchors:
+                assert workloads.anchor_error(argv, doc) is None, key
+
+    def test_full_size_match_references(self, bench):
+        self.check(bench, "full", anchors=True)
+
+    def test_smoke_size_match_references(self, bench):
+        # No paper anchors at this size: the search anchors for targets 37
+        # and 43 fail here at --order 20, where block37^2(q) and block43(q)
+        # are only "undecided" (overlap 19 is below the floor of 20).  That
+        # is the open smoke-search defect in CHANGES.md, not a rendering one.
+        self.check(bench, "smoke", anchors=False)

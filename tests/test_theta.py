@@ -84,6 +84,14 @@ class TestClassicalTheta:
             expected[n] = 2
         assert f.coeffs == tuple(expected)
 
+    @pytest.mark.parametrize("order", [1, 2, 4, 5, 17, 101, 400])
+    def test_phi_equals_theta_sum(self, order):
+        # phi is summed directly; theta(q, q) is the bilateral sum it specializes
+        s = theta_sum(MonomialArg(1, 1), MonomialArg(1, 1), order)
+        assert s.denom == 1 and s.exponent_bound() == order
+        assert phi(order).order == order
+        assert dict(phi(order).nonzero_items()) == {int(e): c for e, c in s.support()}
+
     def test_psi_coefficients(self):
         f = psi(16)
         support = {n for n, c in enumerate(f.coeffs) if c}
