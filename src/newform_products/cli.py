@@ -94,7 +94,8 @@ def _sequence(symbol: str, values: list[str]) -> dict:
 
 class Verdicts(NamedTuple):
     """Results keys and line words for records (name, ok, note); a failing
-    record with a nonempty note gets `failed_note`, and `tally` a last line."""
+    record with a note other than "" or None gets `failed_note`, and `tally`
+    a last line."""
 
     records: str
     name: str
@@ -112,7 +113,7 @@ def _verdicts(command: str, inputs: dict, style: Verdicts, records: list[tuple])
     """The document of records (name, ok, note); any failure is a violation."""
     lines = [
         f"{style.passed if ok else 'FAIL'}  {name}"
-        + (style.failed_note.format(note) if not ok and note != "" else "")
+        + (style.failed_note.format(note) if not ok and note not in ("", None) else "")
         for name, ok, note in records
     ]
     passed = sum(ok for _, ok, _ in records)
@@ -283,12 +284,13 @@ def cmd_search(args) -> dict:
     target = None
     if args.target:
         target = an_expansion(curve_from_quintuple(_parse_quintuple(args.target)), args.order)
+        target_exponents = extract_exponents(target)
     entries = []
     for cand in candidates:
         entry = {"parts": [list(p) for p in cand.parts]}
         if target is not None:
-            series = assemble(cand, blocks, args.order)
-            verdict = match_against(cand, series, target)
+            exponents = assemble(cand, blocks, args.order)
+            verdict = match_against(cand, exponents, target, target_exponents)
             entry["verdict"] = verdict.verdict
             entry["match_order"] = verdict.match_order
             entry["mismatch_at"] = _str_or_none(verdict.mismatch_at)

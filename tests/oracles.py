@@ -1,11 +1,15 @@
 """Brute-force routes and closed formulas that the tests check the library against.
 
 Each one computes what a library function computes, by a slower method
-that shares none of its algorithm.  The fractional-series operations at the
-end (powers and substitution) serve only these routes.
+that shares none of its algorithm, except the coefficient route of search:
+it expands each candidate with the library's product kernel and compares
+coefficients, where the library compares product exponents.  The
+fractional-series operations at the end (powers and substitution) serve
+only these routes.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 
@@ -20,11 +24,22 @@ from newform_products.errors import (
 from newform_products.eta import EtaQuotient, dedekind_eta
 from newform_products.products import (
     ExponentSequence,
+    _combined_exponents,
     _monic_unit_part,
     block_profile,
     extract_exponents,
+    unit_product,
 )
 from newform_products.qseries import FracSeries, PowerSeries, _normalize, frac_mul
+from newform_products.search import (
+    MATCH,
+    MISMATCH,
+    UNDECIDED,
+    DEFAULT_OVERLAP_FLOOR,
+    _atom,
+    _common_scale,
+    _constraint_sums,
+)
 from newform_products.theta import ETA256_CURVE, MonomialArg, theta_sum
 
 
@@ -200,6 +215,65 @@ def eta_quotient_series_by_powers(eq: EtaQuotient, order: int) -> FracSeries:
     return result
 
 
+def assemble_series(cand, blocks, order: int) -> FracSeries:
+    """Expand the candidate product exactly, as q * prod (1 - q^m)^(G_m).
+
+    The constraints make the leading exponent 1, and the product exponents
+    are G_m = sum_{t_i | m} r_i a_{i, m/t_i}.  The expansion is known below
+    q^(1 + n), n = min_i t_i (ceil(order / t_i) + 1), as when each part is
+    expanded to ceil(order / t_i) + 1 terms and multiplied out.
+    """
+    by_id = {rec.conductor: rec for rec in blocks}
+    scale = _common_scale(by_id.values())
+    atoms = [_atom(part, by_id, scale) for part in cand.parts]
+    if _constraint_sums(atoms) != (scale, scale):
+        raise ValueError(f"candidate {cand.parts} violates the linear constraints")
+    factors = []
+    bounds = []
+    for conductor, r, t in cand.parts:
+        rec = by_id[conductor]
+        inner_order = -(-order // t) + 1
+        available = len(rec.a_extended or rec.a_printed)
+        if available < inner_order - 1:
+            raise PrecisionExceeded(
+                f"block {conductor} extends to a_{available}, candidate needs "
+                f"a_{inner_order - 1} at t={t}; extend the block first"
+            )
+        factors.append((rec.a_extended or rec.a_printed, r, t))
+        bounds.append(t * inner_order)
+    n = min(bounds)
+    g = ExponentSequence(tuple(_combined_exponents(factors, n)[1:]))
+    return FracSeries.make(1, 1, unit_product(g, n))
+
+
+def match_series(cand, series: FracSeries, target: PowerSeries,
+                 overlap_floor: int = DEFAULT_OVERLAP_FLOOR):
+    """Fill the candidate verdict by coefficient comparison against the target.
+
+    target must be monic at q.  A nonzero coefficient at a fractional
+    exponent is a mismatch at that exponent.
+    """
+    if target.coeffs[0] != 0 or target.order < 2 or target.coeffs[1] != 1:
+        raise ValueError("target must be monic at q")
+    overlap = min(int(series.exponent_bound()), target.order)
+    for e, c in series.support():
+        if e >= overlap:
+            break
+        if e.denominator != 1:
+            return replace(cand, verdict=MISMATCH, mismatch_at=e)
+        n = int(e)
+        if target.coeffs[n] != c:
+            return replace(cand, verdict=MISMATCH, mismatch_at=e)
+    # zero coefficients of the series against nonzero target entries
+    for n in range(1, overlap):
+        c = series.coeff_at(n) if (n * series.denom - series.offset) >= 0 else 0
+        if c != target.coeffs[n]:
+            return replace(cand, verdict=MISMATCH, mismatch_at=Fraction(n))
+    if overlap - 1 < overlap_floor:
+        return replace(cand, verdict=UNDECIDED, match_order=overlap - 1)
+    return replace(cand, verdict=MATCH, match_order=overlap - 1)
+
+
 def frac_pow(a: FracSeries, r: int) -> FracSeries:
     """a^r for a nonzero series; r < 0 inverts."""
     if r == 0:
@@ -210,4 +284,5 @@ def frac_pow(a: FracSeries, r: int) -> FracSeries:
 def frac_subst_scale(a: FracSeries, t: int) -> FracSeries:
     """q -> q^t on a fractional series: every exponent scales by t."""
     return _normalize(a.denom, a.offset * t, a.series.subst_monomial(1, t))
+
 

@@ -338,6 +338,36 @@ class TestThetaFailure:
             "weight-4 multiplicativity,False\n"
         )
 
+    # the E2 check reports no position, so its failing line names none
+    E2_LINE = "FAIL  E2 logarithmic-derivative identity"
+
+    @pytest.fixture
+    def wrong_e2(self, monkeypatch):
+        monkeypatch.setattr(cli, "verify_e2_identity", lambda order: False)
+
+    def test_e2_plain(self, wrong_e2):
+        code, text = run("theta", "--verify-e2", "--order", "30")
+        assert code == EXIT_VIOLATION
+        assert text == self.E2_LINE + "\n"
+
+    def test_e2_json(self, wrong_e2):
+        code, text = run("theta", "--verify-e2", "--order", "30", "--format", "json")
+        assert code == EXIT_VIOLATION
+        doc = json.loads(text)
+        assert doc["status"] == "violation"
+        assert doc["results"] == {
+            "checks": [{"check": "E2 logarithmic-derivative identity", "ok": False,
+                        "first_mismatch": None}],
+            "header": ["check", "ok"],
+            "rows": [["E2 logarithmic-derivative identity", False]],
+            "lines": [self.E2_LINE],
+        }
+
+    def test_e2_csv(self, wrong_e2):
+        code, text = run("theta", "--verify-e2", "--order", "30", "--format", "csv")
+        assert code == EXIT_VIOLATION
+        assert text == "check,ok\nE2 logarithmic-derivative identity,False\n"
+
 
 class TestSearch:
     def test_s1distinguished(self):
@@ -353,6 +383,14 @@ class TestSearch:
         code, text = run("search", "--blocks", "37", "--s", "1", "--max-r", max_r)
         assert code == EXIT_USAGE and text == ""
         assert "search needs --max-r >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", ["0", "1"])
+    def test_target_order_below_2_exit_2(self, order, capsys):
+        # the target expansion refuses the order before its exponents are taken
+        code, text = run("search", "--blocks", "37,43", "--s", "2", "--max-r", "2",
+                         "--max-t", "2", "--order", order, "--target", "0,0,1,-1,0")
+        assert code == EXIT_USAGE and text == ""
+        assert "an_expansion needs order >= 2" in capsys.readouterr().err
 
 
 class TestCsv:

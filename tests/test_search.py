@@ -1,18 +1,21 @@
 """Constrained decomposition search and the bounded eta-quotient search."""
 
+import importlib.util
 import io
 import json
+import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
+from newform_products import cli, search
 from newform_products.cli import main
 from newform_products.elliptic import an_expansion, curve_from_quintuple
 from newform_products.errors import PrecisionExceeded, UnknownLevel
-from newform_products.products import ExponentSequence, unit_product
-from newform_products.qseries import FracSeries, frac_mul
+from newform_products.products import ExponentSequence, extract_exponents, unit_product
+from newform_products.qseries import FracSeries, PowerSeries, frac_mul
 from newform_products.registry import builtin_table1, extend_block, record_for
 from newform_products.search import (
     MATCH,
@@ -25,7 +28,22 @@ from newform_products.search import (
     match_against,
 )
 
-from oracles import frac_pow, frac_subst_scale
+from oracles import assemble_series, frac_pow, frac_subst_scale, match_series
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _target(quintuple, order):
+    """The curve's newform to the given order, and its product exponents."""
+    target = an_expansion(curve_from_quintuple(quintuple), order)
+    return target, extract_exponents(target)
 
 
 # Oracles: the constraint filter in Fractions over every atom multiset, and
@@ -131,7 +149,7 @@ class TestAssemble:
         for rec in builtin_table1():
             rec = extend_block(rec, 40)
             cand = SearchCandidate(parts=((rec.conductor, rec.r_check, rec.t_check),))
-            series = assemble(cand, [rec], 30)
+            series = assemble_series(cand, [rec], 30)
             target = an_expansion(curve_from_quintuple(rec.curves[0]), 30)
             for n in range(1, int(series.exponent_bound())):
                 if n < 30:
@@ -139,6 +157,16 @@ class TestAssemble:
                         rec.conductor,
                         n,
                     )
+
+    def test_native_exponents_equal_extracted(self):
+        # ... and its exponents are the ones extracted from that newform
+        for rec in builtin_table1():
+            rec = extend_block(rec, 40)
+            cand = SearchCandidate(parts=((rec.conductor, rec.r_check, rec.t_check),))
+            got = assemble(cand, [rec], 30)
+            _, want = _target(rec.curves[0], 30)
+            assert got.upto >= want.upto
+            assert got.g[: want.upto] == want.g, rec.conductor
 
     def test_insufficient_block_data_names_block(self):
         rec = record_for(37)  # only 12 printed terms
@@ -166,21 +194,27 @@ class TestVerdicts:
     def _native(self, conductor, order=40):
         rec = extend_block(record_for(conductor), 60)
         cand = SearchCandidate(parts=((conductor, rec.r_check, rec.t_check),))
-        series = assemble(cand, [rec], order)
-        target = an_expansion(curve_from_quintuple(rec.curves[0]), order)
-        return cand, series, target, rec
+        exponents = assemble(cand, [rec], order)
+        target, target_exponents = _target(rec.curves[0], order)
+        return cand, exponents, target, target_exponents
 
     def test_match(self):
-        cand, series, target, _ = self._native(37)
-        got = match_against(cand, series, target)
+        cand, exponents, target, target_exponents = self._native(37)
+        got = match_against(cand, exponents, target, target_exponents)
         assert got.verdict == MATCH and got.match_order >= 20
 
     def test_mismatch_against_wrong_target(self):
-        cand, series, _, _ = self._native(37)
-        other = an_expansion(curve_from_quintuple(record_for(43).curves[0]), 40)
-        got = match_against(cand, series, other)
+        cand, exponents, _, _ = self._native(37)
+        other, other_exponents = _target(record_for(43).curves[0], 40)
+        got = match_against(cand, exponents, other, other_exponents)
         assert got.verdict == MISMATCH
-        assert got.mismatch_at is not None
+        assert isinstance(got.mismatch_at, int)
+
+    def test_target_must_be_monic(self):
+        cand, exponents, _, target_exponents = self._native(37)
+        with pytest.raises(ValueError, match="monic"):
+            match_against(cand, exponents, PowerSeries.from_terms({2: 1}, 40),
+                          target_exponents)
 
     def test_fractional_support_is_mismatch(self):
         # a series with genuinely fractional support never matches an
@@ -191,22 +225,22 @@ class TestVerdicts:
         assert Fraction(frac.offset, frac.denom) == Fraction(5, 6)
         target = an_expansion(curve_from_quintuple(rec.curves[0]), 40)
         cand = SearchCandidate(parts=((36, 4, 5),))
-        got = match_against(cand, frac, target)
+        got = match_series(cand, frac, target)
         assert got.verdict == MISMATCH
         assert got.mismatch_at is not None and got.mismatch_at.denominator > 1
 
     def test_undecided_when_overlap_short(self):
-        cand, series, target, _ = self._native(37, order=15)
-        got = match_against(cand, series, target, overlap_floor=20)
+        cand, exponents, target, target_exponents = self._native(37, order=15)
+        got = match_against(cand, exponents, target, target_exponents, overlap_floor=20)
         assert got.verdict == UNDECIDED
 
     def test_two_block_search_reverifies(self):
         blocks = [extend_block(record_for(n), 40) for n in (37, 43)]
-        target = an_expansion(curve_from_quintuple(record_for(37).curves[0]), 30)
+        target, target_exponents = _target(record_for(37).curves[0], 30)
         verdicts = {}
         for cand in enumerate_candidates(blocks, 2, 6, 12):
-            series = assemble(cand, blocks, 30)
-            got = match_against(cand, series, target, overlap_floor=20)
+            exponents = assemble(cand, blocks, 30)
+            got = match_against(cand, exponents, target, target_exponents, overlap_floor=20)
             verdicts[cand.parts] = got.verdict
         assert verdicts  # candidates exist and every one received a verdict
         assert set(verdicts.values()) <= {MATCH, MISMATCH, UNDECIDED}
@@ -241,7 +275,8 @@ def extended_table():
 
 
 def _same_outcome(cand, blocks, order):
-    """assemble and oracle_assemble agree: equal series or the same error."""
+    """assemble and oracle_assemble agree: the exponents expand to the
+    oracle's series, or both raise the same error."""
     try:
         want = oracle_assemble(cand, blocks, order)
     except (ValueError, PrecisionExceeded) as ex:
@@ -249,7 +284,8 @@ def _same_outcome(cand, blocks, order):
             assemble(cand, blocks, order)
         assert str(got.value) == str(ex)
         return
-    assert assemble(cand, blocks, order) == want, (cand.parts, order)
+    g = assemble(cand, blocks, order)
+    assert FracSeries.make(1, 1, unit_product(g, g.upto + 1)) == want, (cand.parts, order)
 
 
 class TestOracleDifferential:
@@ -316,12 +352,127 @@ class TestSearchCommand:
         verdicts = set()
         for entry, p in zip(entries, parts):
             cand = SearchCandidate(parts=p)
-            want = match_against(cand, oracle_assemble(cand, blocks, 30), target)
+            want = match_series(cand, oracle_assemble(cand, blocks, 30), target)
             mismatch_at = None if want.mismatch_at is None else str(want.mismatch_at)
             assert (entry["verdict"], entry["match_order"], entry["mismatch_at"]) == (
                 want.verdict, want.match_order, mismatch_at), p
             verdicts.add(want.verdict)
         assert MATCH in verdicts and MISMATCH in verdicts
+
+
+# blocks and orders for comparing exponent matching with the coefficient
+# route: t_check = 1 blocks, blocks on t = 2 and t = 3 grids (88, 243) and
+# the rank-2 curve's block (389); order 2 leaves nothing to compare, order 3
+# one exponent, and order 200 reaches past the bench's order 80
+MATCH_SETS = [(37, 43), (37, 43, 53), (37, 88, 243), (37, 43, 389)]
+MATCH_ORDERS = [2, 3, 5, 20, 80, 200]
+
+
+@pytest.fixture(scope="module")
+def pool_targets():
+    """Every bench pool curve (conductor, quintuple)."""
+    return [(n, tuple(int(v) for v in q.split(","))) for n, q, *_ in _bench_workloads().POOL]
+
+
+@pytest.fixture(scope="module")
+def wide_table():
+    return {n: extend_block(record_for(n), 201) for s in MATCH_SETS for n in s}
+
+
+class TestExponentMatching:
+    """match_against on exponents gives the verdict, match order and
+    mismatch position of the coefficient route (assemble_series, match_series)."""
+
+    @pytest.mark.parametrize("order", MATCH_ORDERS)
+    @pytest.mark.parametrize("conductors", MATCH_SETS)
+    def test_equals_coefficient_route(self, wide_table, pool_targets, conductors, order):
+        blocks = [wide_table[n] for n in conductors]
+        cands = enumerate_candidates(blocks, 3, 2, 3)
+        series = [assemble_series(c, blocks, order) for c in cands]
+        verdicts = set()
+        for n, quintuple in pool_targets:
+            target, target_exponents = _target(quintuple, order)
+            for cand, sr in zip(cands, series):
+                got = match_against(cand, assemble(cand, blocks, order), target,
+                                    target_exponents)
+                want = match_series(cand, sr, target)
+                assert (got.verdict, got.match_order, got.mismatch_at) == (
+                    want.verdict, want.match_order, want.mismatch_at), (n, cand.parts)
+                verdicts.add(got.verdict)
+        assert verdicts == ({UNDECIDED} if order == 2 else
+                            {MISMATCH, UNDECIDED} if order < 21 else {MATCH, MISMATCH})
+
+    @pytest.mark.parametrize("parts,at", [
+        # s_2 = 0 and no later coefficient is a nonzero mismatch: reports 2
+        (((37, -1, 1), (37, 1, 1), (88, 1, 2)), 2),
+        # s_2 = 0, and the nonzero mismatch at 4 shows only after doubling
+        (((37, -1, 1), (37, 1, 1), (243, 1, 3)), 4),
+    ])
+    def test_zero_coefficient_expands_up_to_overlap(self, wide_table, monkeypatch,
+                                                    parts, at):
+        # at order 5 the overlap is 5: the series is expanded below q^4, then
+        # below q^5, and no further
+        lengths = []
+        expand = search.unit_product
+        monkeypatch.setattr(search, "unit_product",
+                            lambda g, n: lengths.append(n) or expand(g, n))
+        blocks = [wide_table[n] for n in (37, 88, 243)]
+        target, target_exponents = _target((0, 0, 1, -1, 0), 5)
+        cand = SearchCandidate(parts=parts)
+        got = match_against(cand, assemble(cand, blocks, 5), target, target_exponents)
+        want = match_series(cand, assemble_series(cand, blocks, 5), target)
+        assert lengths == [3, 4]
+        assert (got.verdict, got.mismatch_at) == (MISMATCH, at) == (
+            want.verdict, want.mismatch_at)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the benchmark digests pin the coefficient route's late position; "
+        "the benchmark refresh of ROADMAP item 1 reports the first mismatch"))
+    def test_reports_first_mismatch(self):
+        # the series starts q - 2q^2 + 0q^3, the target q - 2q^2 - 3q^3
+        out = io.StringIO()
+        argv = ["search", "--blocks", "37,43", "--s", "3", "--max-r", "4",
+                "--max-t", "6", "--order", "80", "--target", "0,0,1,-1,0",
+                "--format", "json"]
+        assert main(argv, out=out) == 0
+        entry, = [e for e in json.loads(out.getvalue())["results"]["candidates"]
+                  if e["parts"] == [[37, -4, 1], [43, -1, 1], [43, 4, 1]]]
+        assert (entry["verdict"], entry["mismatch_at"]) == (MISMATCH, "3")
+
+
+class TestSearchInvariants:
+    """What bench/selftest.py pins of the bench search, checked here too."""
+
+    def test_smoke_size_counts(self, monkeypatch):
+        counts = {"combos": 0, "assemble": 0}
+
+        def counted(key, fn):
+            def call(*args):
+                counts[key] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(search, "_constraints_hold",
+                            counted("combos", search._constraints_hold))
+        monkeypatch.setattr(cli, "assemble", counted("assemble", cli.assemble))
+        out = io.StringIO()
+        assert main(list(_bench_workloads().search_argv(37, "smoke")), out=out) == 0
+        candidates = json.loads(out.getvalue())["results"]["candidates"]
+        assert counts["combos"] == 816
+        assert counts["assemble"] == len(candidates) > 0
+
+    def test_full_size_expands_little(self, monkeypatch):
+        # the coefficient route expands each of the 465 candidates to about
+        # 82 terms, 38,162 in all; exponent matching expands only where a
+        # zero coefficient needs it (1,767 terms against this target)
+        lengths = []
+        expand = search.unit_product
+        monkeypatch.setattr(search, "unit_product",
+                            lambda g, n: lengths.append(n) or expand(g, n))
+        out = io.StringIO()
+        assert main(list(_bench_workloads().search_argv(37, "full")), out=out) == 0
+        assert len(json.loads(out.getvalue())["results"]["candidates"]) == 465
+        assert sum(lengths) < 465 * 82 // 10
 
 
 class TestEtaQuotientSearch:
