@@ -26,7 +26,7 @@ from .errors import NewformError, ZeroSequence
 from .eta import verify_e2_identity
 from .products import block_profile, extract_exponents, infer_block
 from .qseries import PowerSeries, frac_equal_to
-from .registry import builtin_table1, extend_block, load_registry
+from .registry import builtin_table1, extend_block, load_registry, unlimited_int_digits
 from .search import assemble, enumerate_candidates, eta_quotient_search, match_against
 from .theta import (
     MonomialArg,
@@ -441,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@unlimited_int_digits()
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     parser = build_parser()

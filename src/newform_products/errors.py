@@ -25,10 +25,6 @@ class PrecisionExceeded(NewformError):
     """Requested data lies beyond the truncation order of the inputs."""
 
 
-class IncompatibleExponent(NewformError):
-    """Requested exponent is not representable on the series' fractional grid."""
-
-
 class BlockMismatch(NewformError):
     """Exponent sequence does not fit the claimed (r, t) block pattern."""
 
@@ -47,7 +43,3 @@ class SchemaViolation(NewformError):
 
 class UnknownLevel(NewformError):
     """No registry record exists for the requested conductor."""
-
-
-class InvalidArgs(NewformError):
-    """Theta arguments violate the formal convergence condition."""

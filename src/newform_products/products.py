@@ -30,7 +30,7 @@ from .errors import (
     PrecisionExceeded,
     ZeroSequence,
 )
-from .qseries import PowerSeries, _stride
+from .qseries import PowerSeries, _spread, _stride
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,7 @@ def _logder_coefficients(u: PowerSeries) -> list:
     c = [0] * len(v)
     for n in range(1, len(v)):
         c[n] = -n * v[n] - sum(map(mul, c[1:n], v[n - 1 : 0 : -1]))
-    if t == 1:
-        return c
-    spread = [0] * len(u)
-    spread[::t] = [t * x for x in c]
-    return spread
+    return _spread([t * x for x in c] if t > 1 else c, t, len(u))
 
 
 def _divisor_sums(lam: list) -> list:
@@ -153,11 +149,7 @@ def unit_product(g: ExponentSequence, order: int) -> PowerSeries:
         u[n], rem = divmod(-sum(map(mul, c[1 : n + 1], u[n - 1 :: -1])), n)
         if rem:
             raise InternalIntegralityFailure(f"product coefficient q^{t * n} not integral")
-    if t > 1:
-        spread = [0] * order
-        spread[::t] = u
-        u = spread
-    return PowerSeries(tuple(u))
+    return PowerSeries(tuple(_spread(u, t, order)))
 
 
 def block_profile(g: ExponentSequence, r_check: int, t_check: int) -> BlockProfile:

@@ -1,8 +1,8 @@
 """Exact truncated power series and fractional-exponent series.
 
-A PowerSeries of order T knows the coefficients of q^0 .. q^(T-1) exactly
-(Python ints; a Fraction only where a rational constant is unavoidable, as
-in E2).  Every binary operation truncates to the minimum of the input
+A PowerSeries of order T knows the coefficients of q^0 .. q^(T-1) exactly,
+as Python ints (E2's constant 1/24 is a Fraction, but E2 is never
+multiplied).  Every binary operation truncates to the minimum of the input
 orders; no operation ever fabricates coefficients beyond what the inputs
 justify.  Inversion needs constant term +1 or -1.
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, islice
 
-from .errors import IncompatibleExponent, NonUnitConstantTerm, PrecisionExceeded
+from .errors import NonUnitConstantTerm, PrecisionExceeded
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class PowerSeries:
         t = math.gcd(_stride(self.coeffs[:T]), _stride(other.coeffs[:T]))
         a = self.coeffs[:T:t]
         b = a if other is self else other.coeffs[:T:t]
-        return PowerSeries(_spread(_packed_product(a, b, len(a)), t, T))
+        return PowerSeries(tuple(_spread(_packed_product(a, b, len(a)), t, T)))
 
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse at the same order; needs constant term +-1.
@@ -106,7 +106,7 @@ class PowerSeries:
             # a h = 1 + q^len(h) r, so h (1 - a h) = -q^len(h) h r
             r = _packed_product(a[:n], h, n)[len(h) :]
             h += [-x for x in _packed_product(h, r, len(r))]
-        return PowerSeries(_spread(h, t, self.order))
+        return PowerSeries(tuple(_spread(h, t, self.order)))
 
     def pow_int(self, g: int) -> "PowerSeries":
         """A^g at the same order by square-and-multiply; g < 0 inverts first."""
@@ -149,37 +149,25 @@ def _stride(seq) -> int:
     return math.gcd(*compress(range(1, len(seq)), islice(seq, 1, None))) or len(seq)
 
 
-def _spread(c, t: int, order: int) -> tuple:
-    """The series c(q^t) to the given order, for len(c) = ceil(order / t)."""
+def _spread(c, t: int, order: int):
+    """The series c(q^t) to the given order, for len(c) = ceil(order / t); c itself if t = 1."""
     if t == 1:
-        return tuple(c)
+        return c
     out = [0] * order
     out[::t] = c
-    return tuple(out)
+    return out
 
 
 def _packed_product(a, b, n: int) -> list:
-    """The first n coefficients of a(q) b(q), for coefficient sequences a and b.
+    """The first n coefficients of a(q) b(q), for integer sequences a and b.
 
     Kronecker substitution: with slots of w bytes, where 2^(8w-1) exceeds
     max|a| * max|b| * min(len a, len b) and so every product coefficient,
     each sequence becomes the one int sum a_i 2^(8wi), and the two ints are
     multiplied once.  Adding 2^(8w-1) to every slot of the product makes
-    each slot a nonnegative byte string, read back from `to_bytes`.  Rational
-    coefficients are cleared to a common denominator first.
+    each slot a nonnegative byte string, read back from `to_bytes`.
     """
     a, b = a[:n], b[:n]
-    try:
-        return _kronecker(a, b, n)
-    except AttributeError:  # a Fraction coefficient has no bit_length/to_bytes
-        da = math.lcm(*(c.denominator for c in a))
-        db = math.lcm(*(c.denominator for c in b))
-        a = [c.numerator * (da // c.denominator) for c in a]
-        b = [c.numerator * (db // c.denominator) for c in b]
-        return [Fraction(c, da * db) for c in _kronecker(a, b, n)]
-
-
-def _kronecker(a, b, n: int) -> list:
     bits = (
         max(map(abs, a)).bit_length()
         + max(map(abs, b)).bit_length()
@@ -220,21 +208,6 @@ class FracSeries:
     def exponent_bound(self) -> Fraction:
         """Exponents are known (exactly) strictly below this bound."""
         return Fraction(self.offset + self.series.order, self.denom)
-
-    def coeff_at(self, exponent) -> object:
-        """Coefficient of q^exponent (a Fraction or int)."""
-        e = Fraction(exponent)
-        k = e * self.denom - self.offset
-        if k.denominator != 1:
-            raise IncompatibleExponent(
-                f"exponent {e} not on the q^(1/{self.denom}) grid of this series"
-            )
-        k = int(k)
-        if k >= self.series.order:
-            raise PrecisionExceeded(f"exponent {e} beyond truncation bound {self.exponent_bound()}")
-        if k < 0:
-            return 0
-        return self.series.coeffs[k]
 
     def support(self) -> list[tuple[Fraction, object]]:
         return [

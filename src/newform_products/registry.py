@@ -3,18 +3,35 @@
 Each record holds a conductor, the defining curve(s), the block shape
 (r_check, t_check), the twelve reference exponents a_1..a_12, and an
 optional extension computed from point counting.  Integers are serialized
-as decimal strings: extended exponents outgrow 64-bit range quickly.
+as decimal strings, with no digit cap: extended exponents grow quickly.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from .elliptic import an_expansion, curve_from_quintuple
 from .errors import SchemaViolation, TableMismatch
 from .products import block_profile, extract_exponents
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the int/str conversion digit cap, if the build has one, while the body runs."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
 
 @dataclass(frozen=True)
 class BlockRecord:
@@ -148,6 +165,7 @@ def _record_from_json(doc: dict, where: str) -> BlockRecord:
     return rec
 
 
+@unlimited_int_digits()
 def save_registry(records: list[BlockRecord], path: str | os.PathLike) -> None:
     doc = {"format": "newform-block-registry", "version": 1,
            "records": [_record_to_json(r) for r in records]}
@@ -158,6 +176,7 @@ def save_registry(records: list[BlockRecord], path: str | os.PathLike) -> None:
     os.replace(tmp, path)
 
 
+@unlimited_int_digits()
 def load_registry(path: str | os.PathLike) -> list[BlockRecord]:
     try:
         with open(path, encoding="utf-8") as fh:

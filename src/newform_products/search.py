@@ -14,6 +14,7 @@ exponent space: `assemble` sums the parts' exponents into G with no series
 expansion, and `match_against` compares G with the target's exponents g,
 extracted once per search.  The series is expanded only to place a
 mismatch whose first differing coefficient is zero in the candidate.
+`eta_quotient_search` solves for a quotient from g alone, with no expansion.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import combinations_with_replacement
 from .arith import divisors
 from .elliptic import an_expansion, curve_from_quintuple
 from .errors import PrecisionExceeded, UnknownLevel
-from .eta import EtaQuotient, eta_quotient_series
+from .eta import EtaQuotient
 from .products import ExponentSequence, _combined_exponents, extract_exponents, unit_product
 from .qseries import PowerSeries
 from .registry import BlockRecord, record_for
@@ -34,7 +35,7 @@ MATCH = "match"
 MISMATCH = "mismatch"
 UNDECIDED = "undecided"
 
-DEFAULT_OVERLAP_FLOOR = 20
+OVERLAP_FLOOR = 20
 DEFAULT_ETA_EXPONENT_BOUND = 24
 
 
@@ -142,7 +143,6 @@ def match_against(
     exponents: ExponentSequence,
     target: PowerSeries,
     target_exponents: ExponentSequence,
-    overlap_floor: int = DEFAULT_OVERLAP_FLOOR,
 ) -> SearchCandidate:
     """Fill the candidate verdict by comparing its exponents G with the
     target's g = extract_exponents(target).
@@ -168,7 +168,7 @@ def match_against(
                 # benchmark refresh deletes this branch and reports M
                 at = _first_nonzero_mismatch(exponents, target, at, overlap)
             return replace(cand, verdict=MISMATCH, mismatch_at=at)
-    if overlap - 1 < overlap_floor:
+    if overlap - 1 < OVERLAP_FLOOR:
         return replace(cand, verdict=UNDECIDED, match_order=overlap - 1)
     return replace(cand, verdict=MATCH, match_order=overlap - 1)
 
@@ -206,17 +206,14 @@ def eta_quotient_search(
     The exponents of a matching quotient are determined triangularly by the
     target's extracted g_n (g_n = sum_{t|n} r_t), so the bounded enumeration
     reduces to solving that system on the divisors of the level and checking
-    the remaining coefficients.  The found quotient's series is then
-    re-expanded and compared with the target.  That is a round trip through
-    the same product kernel that extracted g_n, not an independent check;
-    the independent one is the test of the Martin-Ono quotients against
-    point counting (tests/test_elliptic.py::TestMartinOnoOracle).
+    the remaining exponents.  Those g_n fix the series through
+    q^(order-1), so a quotient that fits all of them matches the target to
+    that order.
     """
     rec = record_for(level)
     if rec is None:
         raise UnknownLevel(f"no registry record for conductor {level}")
-    target = an_expansion(curve_from_quintuple(rec.curves[0]), order)
-    g = extract_exponents(target)
+    g = extract_exponents(an_expansion(curve_from_quintuple(rec.curves[0]), order))
     r: dict[int, int] = {}
     for t in divisors(level):
         if t > g.upto:
@@ -235,9 +232,4 @@ def eta_quotient_search(
     eq = EtaQuotient(terms)
     if eq.weight_numerator != 4 or eq.leading_exponent != 1:
         return []
-    # round trip: expand the quotient's product and compare coefficients
-    series = eta_quotient_series(eq, order)
-    for n in range(1, order):
-        if series.coeff_at(n) != target.coeffs[n]:
-            return []
     return [eq]

@@ -13,7 +13,8 @@ A factor 1 + x becomes (1 - x^2)/(1 - x), and a prefactor q^(t r/24) of
 eta^r(+-q^t) is carried as an exponent, not as a series.  eta256^2 needs
 no product at all: point counting gives eta256 in coefficient form, and one
 series squaring gives its square.  Series powers remain only for that
-square and the phi and psi sums of identity 1.
+square and the powers of phi(q^2) and psi(-q^2) in identity 1, which are
+both theta_sum specializations.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .elliptic import an_expansion, curve_from_quintuple
-from .errors import BlockMismatch, InvalidArgs
+from .errors import BlockMismatch
 from .products import ExponentSequence, unit_product
 from .qseries import FracSeries, PowerSeries
 
@@ -50,38 +52,22 @@ class MonomialArg:
         return Fraction(self.num, self.den)
 
 
-def _check_args(a: MonomialArg, b: MonomialArg) -> None:
-    if a.exponent + b.exponent <= 0:
-        raise InvalidArgs("theta arguments need a positive total exponent")
-
-
 def theta_sum(a: MonomialArg, b: MonomialArg, order: int) -> FracSeries:
-    """Bilateral sum over n; finite below any order since exponents grow
-    quadratically in both directions."""
-    _check_args(a, b)
-    alpha, beta = a.exponent, b.exponent
-    denom = math.lcm(alpha.denominator, beta.denominator)
-    bound = Fraction(order)
+    """Bilateral sum over n on the q^(1/D) grid, D = lcm(a.den, b.den): term n
+    sits at index A T_n + B T_(n-1), A = a.num D / a.den and B likewise, and
+    term -k is term k with a and b exchanged.  Indices grow with |n|, so each
+    direction stops at its first index >= order D."""
+    denom = math.lcm(a.den, b.den)
     terms: dict[int, int] = {}
-    n = 0
-    direction_done = [False, False]
-    while not all(direction_done):
-        for idx, m in enumerate((n, -n) if n else (0,)):
-            tri_up = m * (m + 1) // 2
-            tri_dn = m * (m - 1) // 2
-            e = alpha * tri_up + beta * tri_dn
-            if e >= bound:
-                if m >= 0:
-                    direction_done[0] = True
-                if m <= 0:
-                    direction_done[1] = True
-                continue
-            sign = (a.sign ** (tri_up % 2)) * (b.sign ** (tri_dn % 2))
-            k = int(e * denom)
-            terms[k] = terms.get(k, 0) + sign
-        n += 1
-    physical = order * denom
-    return FracSeries.make(denom, 0, PowerSeries.from_terms(terms, physical))
+    for x, y, first in ((a, b, 0), (b, a, 1)):
+        step_x, step_y = x.num * denom // x.den, y.num * denom // y.den
+        for n in count(first):
+            tri_up, tri_dn = n * (n + 1) // 2, n * (n - 1) // 2
+            k = step_x * tri_up + step_y * tri_dn
+            if k >= order * denom:
+                break
+            terms[k] = terms.get(k, 0) + x.sign ** (tri_up % 2) * y.sign ** (tri_dn % 2)
+    return FracSeries.make(denom, 0, PowerSeries.from_terms(terms, order * denom))
 
 
 def theta_product(a: MonomialArg, b: MonomialArg, order: int) -> FracSeries:
@@ -91,7 +77,6 @@ def theta_product(a: MonomialArg, b: MonomialArg, order: int) -> FracSeries:
     products become exponents on the q^(1/denom) grid, which one
     unit_product call expands.
     """
-    _check_args(a, b)
     alpha, beta = a.exponent, b.exponent
     denom = math.lcm(alpha.denominator, beta.denominator)
     ab_sign = a.sign * b.sign
@@ -123,27 +108,6 @@ def _add_signed_factors(g: list, first: int, step: int, sign: int, ratio: int, r
 def _expand(g: list) -> PowerSeries:
     """prod_{1 <= k < len(g)} (1 - q^k)^(g[k]) to order len(g)."""
     return unit_product(ExponentSequence(tuple(g[1:])), len(g))
-
-
-def phi(order: int) -> PowerSeries:
-    """phi(q) = theta(q, q) = 1 + 2 sum_{n >= 1} q^(n^2)."""
-    out = {0: 1}
-    n = 1
-    while n * n < order:
-        out[n * n] = 2
-        n += 1
-    return PowerSeries.from_terms(out, order)
-
-
-def psi_neg_q2(order: int) -> PowerSeries:
-    """psi(-q^2) = sum (-1)^(T_n) q^(2 T_n), by substitution into the sum form."""
-    out = {}
-    n = 0
-    while n * (n + 1) <= order - 1:
-        tri = n * (n + 1) // 2
-        out[2 * tri] = -1 if tri % 2 else 1
-        n += 1
-    return PowerSeries.from_terms(out, order)
 
 
 def _eta256_squared(order: int) -> PowerSeries:
@@ -225,8 +189,10 @@ def verify_eta256_identities(order: int) -> tuple[bool, bool, tuple]:
         raise ValueError("identity check needs order >= 4")
     lhs = _eta256_squared(order)
 
-    phi_q2 = phi(order).subst_monomial(1, 2, order)
-    psi_m = psi_neg_q2(order)
+    # phi(q^2) = theta(q^2, q^2) and psi(-q^2) = theta(-q^2, -q^6) lie on the integer
+    # grid with constant term 1, so their normal form is the summed series itself
+    phi_q2 = theta_sum(MonomialArg(1, 2), MonomialArg(1, 2), order).series
+    psi_m = theta_sum(MonomialArg(-1, 2), MonomialArg(-1, 6), order).series
     q = PowerSeries.from_terms({1: 1}, order)
     rhs1 = (
         phi_q2.pow_int(2)

@@ -4,8 +4,8 @@ Each one computes what a library function computes, by a slower method
 that shares none of its algorithm, except the coefficient route of search:
 it expands each candidate with the library's product kernel and compares
 coefficients, where the library compares product exponents.  The
-fractional-series operations at the end (powers and substitution) serve
-only these routes.
+fractional-series operations at the end (coefficient lookup, powers and
+substitution) serve only these routes.
 """
 
 import math
@@ -35,7 +35,7 @@ from newform_products.search import (
     MATCH,
     MISMATCH,
     UNDECIDED,
-    DEFAULT_OVERLAP_FLOOR,
+    OVERLAP_FLOOR,
     _atom,
     _common_scale,
     _constraint_sums,
@@ -196,8 +196,8 @@ def frac_equal_to_by_exponents(a: FracSeries, b: FracSeries, bound):
         {e for e, _ in a.support() if e < bound} | {e for e, _ in b.support() if e < bound}
     )
     for e in exps:
-        ca = a.coeff_at(e) if (e * a.denom - a.offset).denominator == 1 else 0
-        cb = b.coeff_at(e) if (e * b.denom - b.offset).denominator == 1 else 0
+        ca = coeff_at(a, e) if (e * a.denom - a.offset).denominator == 1 else 0
+        cb = coeff_at(b, e) if (e * b.denom - b.offset).denominator == 1 else 0
         if ca != cb:
             return False, e
     return True, None
@@ -246,8 +246,7 @@ def assemble_series(cand, blocks, order: int) -> FracSeries:
     return FracSeries.make(1, 1, unit_product(g, n))
 
 
-def match_series(cand, series: FracSeries, target: PowerSeries,
-                 overlap_floor: int = DEFAULT_OVERLAP_FLOOR):
+def match_series(cand, series: FracSeries, target: PowerSeries):
     """Fill the candidate verdict by coefficient comparison against the target.
 
     target must be monic at q.  A nonzero coefficient at a fractional
@@ -266,12 +265,22 @@ def match_series(cand, series: FracSeries, target: PowerSeries,
             return replace(cand, verdict=MISMATCH, mismatch_at=e)
     # zero coefficients of the series against nonzero target entries
     for n in range(1, overlap):
-        c = series.coeff_at(n) if (n * series.denom - series.offset) >= 0 else 0
+        c = coeff_at(series, n)
         if c != target.coeffs[n]:
             return replace(cand, verdict=MISMATCH, mismatch_at=Fraction(n))
-    if overlap - 1 < overlap_floor:
+    if overlap - 1 < OVERLAP_FLOOR:
         return replace(cand, verdict=UNDECIDED, match_order=overlap - 1)
     return replace(cand, verdict=MATCH, match_order=overlap - 1)
+
+
+def coeff_at(series: FracSeries, exponent):
+    """The coefficient of q^exponent in series; 0 below its leading exponent."""
+    k = Fraction(exponent) * series.denom - series.offset
+    if k.denominator != 1:
+        raise ValueError(f"exponent {exponent} is off the q^(1/{series.denom}) grid")
+    if k >= series.series.order:
+        raise PrecisionExceeded(f"exponent {exponent} is beyond {series.exponent_bound()}")
+    return series.series.coeffs[int(k)] if k >= 0 else 0
 
 
 def frac_pow(a: FracSeries, r: int) -> FracSeries:

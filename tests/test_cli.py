@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from newform_products import cli
 from newform_products.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from newform_products.errors import TableMismatch
+from newform_products.products import ExponentSequence
 from newform_products.registry import builtin_table1, save_registry
 from newform_products.theta import MonomialArg, theta_sum
 
@@ -114,6 +116,21 @@ class TestExponents:
                          "--format", "json")
         assert code == EXIT_OK
         assert json.loads(text)["results"]["g"] == ["2"]
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_exponents_past_the_str_digit_cap(self, fmt, monkeypatch):
+        # g = (B, 2B) for a 5,000-digit B, past CPython's default 4,300-digit
+        # int/str cap; the inferred r is B itself, rendered as an int in json
+        big, digits = 10**4999 + 7, "1" + "0" * 4998 + "7"
+        monkeypatch.setattr(cli, "extract_exponents", lambda f: ExponentSequence((big, 2 * big)))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, text = run("exponents", "--curve", "0,0,1,-1,0", "--order", "4", "--format", fmt)
+        assert code == EXIT_OK
+        assert digits in text and "2" + "0" * 4997 + "14" in text
+        if fmt == "json":
+            inferred = json.loads(text, parse_int=str)["results"]["inferred"]
+            assert inferred == {"r_check": digits, "t_check": "1"}
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 class TestTable1:

@@ -17,7 +17,13 @@ from newform_products.elliptic import an_expansion, curve_from_quintuple
 from newform_products.qseries import FracSeries, PowerSeries, frac_equal_to
 from newform_products.registry import record_for
 
-from oracles import euler_product_dense, eta_quotient_series_by_powers, frac_subst_scale, q_d_dq
+from oracles import (
+    coeff_at,
+    euler_product_dense,
+    eta_quotient_series_by_powers,
+    frac_subst_scale,
+    q_d_dq,
+)
 from test_elliptic import MARTIN_ONO
 
 
@@ -56,9 +62,9 @@ class TestDedekindEta:
     def test_signed_negative_branch_leading_terms(self):
         # prod (1 - (-1)^n q^n) = (1+q)(1-q^2)(1+q^3)... = 1 + q - q^2 + ...
         e = eta_signed(1, -1, 10)
-        assert e.coeff_at(Fraction(1, 24)) == 1
-        assert e.coeff_at(Fraction(25, 24)) == 1
-        assert e.coeff_at(Fraction(49, 24)) == -1
+        assert coeff_at(e, Fraction(1, 24)) == 1
+        assert coeff_at(e, Fraction(25, 24)) == 1
+        assert coeff_at(e, Fraction(49, 24)) == -1
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     @pytest.mark.parametrize("order", [1, 2, 60])
@@ -92,7 +98,7 @@ class TestEtaQuotient:
         rec = record_for(36)
         target = an_expansion(curve_from_quintuple(rec.curves[0]), 60)
         for n in range(1, 60):
-            assert series.coeff_at(Fraction(n)) == target.coeffs[n], n
+            assert coeff_at(series, n) == target.coeffs[n], n
 
     @pytest.mark.parametrize("order", [3, 50, 200])
     @pytest.mark.parametrize("level", sorted(MARTIN_ONO))

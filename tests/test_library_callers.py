@@ -1,5 +1,6 @@
 """Every library function and method has a caller in the library itself,
-and every name the benchmark's tracer wraps exists.
+every name a library module imports is read in it, and every name the
+benchmark's tracer wraps exists.
 
 Code that only the tests reach belongs in the tests (see `tests/oracles.py`)
 or nowhere.  Callers are matched by name: a definition counts as used when
@@ -66,6 +67,34 @@ def _without_library_caller():
 
 def test_every_definition_has_a_library_caller():
     assert _without_library_caller() == sorted(NO_LIBRARY_CALLER)
+
+
+def _unused_imports(tree):
+    """Names tree imports but never reads; `__future__` imports are exempt,
+    and a name listed in `__all__` counts as read."""
+    used = _used_names(tree, False)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if not used[alias.asname or alias.name.split(".")[0]]
+    ]
+
+
+def test_every_import_is_read():
+    # an import left behind by a deletion (an error class, a helper) fails here
+    unused = {
+        path.stem: _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in PACKAGE.glob("*.py")
+    }
+    assert {module: names for module, names in unused.items() if names} == {}
 
 
 def test_tracer_targets_resolve():

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from newform_products.errors import (
-    IncompatibleExponent,
     NonUnitConstantTerm,
     PrecisionExceeded,
 )
@@ -228,13 +227,6 @@ class TestAgainstSchoolbook:
             for b in cases:
                 assert (a * b).coeffs == mul_schoolbook(a, b).coeffs
 
-    def test_rational_coefficients(self):
-        e2 = PowerSeries((Fraction(1, 24), -1, -3, -4, -7, -6, -12))
-        half = PowerSeries((1, Fraction(1, 2), 0, Fraction(-5, 3)))
-        for a, b in ((e2, e2), (e2, half), (half, PowerSeries.one(4))):
-            assert (a * b).coeffs == mul_schoolbook(a, b).coeffs
-        assert half.inverse().coeffs == inverse_by_recurrence(half).coeffs
-
     def test_inverses(self):
         rng = random.Random(1004)
         for stride in (1, 2, 3, 24):
@@ -321,16 +313,6 @@ class TestFracSeries:
         scaled = frac_subst_scale(eta, 6)
         powered = frac_pow(scaled, 4)
         assert Fraction(powered.offset, powered.denom) == 1
-
-    def test_coeff_at(self):
-        a = FracSeries.make(4, 1, PowerSeries.from_terms({0: 1, 4: -4}, 20))
-        assert a.coeff_at(Fraction(1, 4)) == 1
-        assert a.coeff_at(Fraction(5, 4)) == -4
-        assert a.coeff_at(Fraction(3, 4)) == 0
-        with pytest.raises(IncompatibleExponent):
-            a.coeff_at(Fraction(1, 3))
-        with pytest.raises(PrecisionExceeded):
-            a.coeff_at(100)
 
     def test_equal_objects_equal_representations(self):
         a = FracSeries.make(8, 2, PowerSeries.from_terms({0: 1, 4: 7}, 16))

@@ -1,6 +1,7 @@
 """Built-in block table, extension, and JSON persistence."""
 
 import json
+import sys
 
 import pytest
 
@@ -93,6 +94,18 @@ class TestPersistence:
         path = tmp_path / "big.json"
         save_registry([rec], path)
         assert load_registry(path)[0].a_printed[0] == 10**40
+
+    def test_integers_past_the_str_digit_cap_survive(self, tmp_path):
+        # 5,000 digits, past CPython's default 4,300-digit int/str cap
+        digits = "1" + "0" * 4998 + "7"
+        big = 10**4999 + 7
+        rec = BlockRecord(37, ((0, 0, 1, -1, 0),), 2, 1, record_for(37).a_printed, (big, 2))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        path = tmp_path / "huge.json"
+        save_registry([rec], path)
+        assert f'"{digits}"' in path.read_text()
+        assert load_registry(path) == [rec]
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -28,7 +28,7 @@ from newform_products.search import (
     match_against,
 )
 
-from oracles import assemble_series, frac_pow, frac_subst_scale, match_series
+from oracles import assemble_series, coeff_at, frac_pow, frac_subst_scale, match_series
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -153,7 +153,7 @@ class TestAssemble:
             target = an_expansion(curve_from_quintuple(rec.curves[0]), 30)
             for n in range(1, int(series.exponent_bound())):
                 if n < 30:
-                    assert series.coeff_at(Fraction(n)) == target.coeffs[n], (
+                    assert coeff_at(series, n) == target.coeffs[n], (
                         rec.conductor,
                         n,
                     )
@@ -231,7 +231,7 @@ class TestVerdicts:
 
     def test_undecided_when_overlap_short(self):
         cand, exponents, target, target_exponents = self._native(37, order=15)
-        got = match_against(cand, exponents, target, target_exponents, overlap_floor=20)
+        got = match_against(cand, exponents, target, target_exponents)
         assert got.verdict == UNDECIDED
 
     def test_two_block_search_reverifies(self):
@@ -240,7 +240,7 @@ class TestVerdicts:
         verdicts = {}
         for cand in enumerate_candidates(blocks, 2, 6, 12):
             exponents = assemble(cand, blocks, 30)
-            got = match_against(cand, exponents, target, target_exponents, overlap_floor=20)
+            got = match_against(cand, exponents, target, target_exponents)
             verdicts[cand.parts] = got.verdict
         assert verdicts  # candidates exist and every one received a verdict
         assert set(verdicts.values()) <= {MATCH, MISMATCH, UNDECIDED}

@@ -19,8 +19,6 @@ from newform_products.theta import (
     _add_signed_factors,
     _eta256_squared,
     _expand,
-    phi,
-    psi_neg_q2,
     theta_product,
     theta_sum,
     verify_eta256_identities,
@@ -57,7 +55,15 @@ PAIRS = [
     (MonomialArg(1, 1, 1), MonomialArg(1, 5, 1)),
     (MonomialArg(1, 1, 2), MonomialArg(1, 3, 2)),
     (MonomialArg(-1, 1, 3), MonomialArg(1, 2, 1)),
+    (MonomialArg(-1, 1, 2), MonomialArg(-1, 5, 3)),
+    (MonomialArg(1, 2, 2), MonomialArg(-1, 1, 4)),
+    (MonomialArg(-1, 7, 6), MonomialArg(1, 1, 1)),
 ]
+
+
+def phi(order):
+    """phi(q) = theta(q, q)."""
+    return theta_sum(MonomialArg(1, 1), MonomialArg(1, 1), order).series
 
 
 class TestTripleProduct:
@@ -86,11 +92,11 @@ class TestClassicalTheta:
 
     @pytest.mark.parametrize("order", [1, 2, 4, 5, 17, 101, 400])
     def test_phi_equals_theta_sum(self, order):
-        # phi is summed directly; theta(q, q) is the bilateral sum it specializes
+        # theta(q, q) against the closed form 1 + 2 sum_{n >= 1} q^(n^2)
         s = theta_sum(MonomialArg(1, 1), MonomialArg(1, 1), order)
-        assert s.denom == 1 and s.exponent_bound() == order
-        assert phi(order).order == order
-        assert dict(phi(order).nonzero_items()) == {int(e): c for e, c in s.support()}
+        assert s.denom == 1 and s.offset == 0 and s.exponent_bound() == order
+        squares = {n * n: 2 for n in range(1, order) if n * n < order}
+        assert dict(s.series.nonzero_items()) == {0: 1, **squares}
 
     def test_psi_coefficients(self):
         f = psi(16)
@@ -99,11 +105,11 @@ class TestClassicalTheta:
         assert all(c in (0, 1) for c in f.coeffs)
 
     def test_psi_neg_q2_two_routes(self):
-        # substitution into the sum vs substitution into psi itself
-        direct = psi_neg_q2(40)
-        base = psi(20)
-        alt = base.subst_monomial(-1, 2, max_order=40)
-        assert direct.coeffs == alt.coeffs
+        # theta(-q^2, -q^6), as identity 1 sums it, vs substitution into psi
+        direct = theta_sum(MonomialArg(-1, 2), MonomialArg(-1, 6), 40)
+        assert direct.denom == 1 and direct.offset == 0
+        alt = psi(20).subst_monomial(-1, 2, max_order=40)
+        assert direct.series.coeffs == alt.coeffs
 
 
 class TestEta256Block:
