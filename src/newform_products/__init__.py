@@ -10,13 +10,12 @@ __version__ = "0.1.0"
 
 from .arith import divisors, factor
 from .elliptic import Curve, ReductionInfo, an_expansion, count_points, curve_from_quintuple, reduction_at
-from .eta import EtaQuotient, dedekind_eta, e2_series, eta_quotient_series, eta_signed, euler_product, verify_e2_identity
+from .eta import EtaQuotient, eta_quotient_series, eta_signed, euler_product, verify_e2_identity
 from .products import (
     BlockProfile,
     ExponentSequence,
     block_profile,
     extract_exponents,
-    generalized_logder_check,
     infer_block,
     log_derivative_quotient,
     reconstruct,
@@ -35,15 +34,12 @@ __all__ = [
     "block_profile",
     "count_points",
     "curve_from_quintuple",
-    "dedekind_eta",
     "divisors",
-    "e2_series",
     "eta_quotient_series",
     "eta_signed",
     "euler_product",
     "extract_exponents",
     "factor",
-    "generalized_logder_check",
     "infer_block",
     "log_derivative_quotient",
     "reconstruct",

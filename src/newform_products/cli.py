@@ -25,16 +25,10 @@ from .elliptic import an_expansion, curve_from_quintuple
 from .errors import NewformError, ZeroSequence
 from .eta import verify_e2_identity
 from .products import block_profile, extract_exponents, infer_block
-from .qseries import PowerSeries, frac_equal_to
+from .qseries import PowerSeries
 from .registry import builtin_table1, extend_block, load_registry, unlimited_int_digits
 from .search import assemble, enumerate_candidates, eta_quotient_search, match_against
-from .theta import (
-    MonomialArg,
-    theta_product,
-    theta_sum,
-    verify_eta256_identities,
-    verify_weight4,
-)
+from .theta import MonomialArg, verify_eta256_identities, verify_triple_product, verify_weight4
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -151,9 +145,7 @@ def _arg_str(a: MonomialArg) -> str:
 def _triple_checks(order: int):
     """(f(a,b), ok, first mismatch or None) of the triple product per pair."""
     for a, b in TRIPLE_PAIRS:
-        s = theta_sum(a, b, order)
-        p = theta_product(a, b, order)
-        ok, at = frac_equal_to(s, p, order)
+        ok, at = verify_triple_product(a, b, order)
         yield f"f({_arg_str(a)},{_arg_str(b)})", ok, at
 
 
@@ -242,7 +234,7 @@ def cmd_table1(args) -> dict:
 
 def cmd_theta(args) -> dict:
     if args.verify_e2 and args.order < 2:
-        # at order 1 only the constant 1/24 is compared, which proves nothing
+        # at order 1 no coefficient is compared, which proves nothing
         raise ValueError("E2 check needs order >= 2")
     if args.verify_triple and args.order < 2:
         # likewise the triple products agree at order 1 whatever they are

@@ -1,9 +1,12 @@
-"""Dedekind eta, signed-argument eta, eta quotients, and the E2 identity.
+"""Signed-argument eta, eta quotients, and the E2 identity.
 
 An eta quotient prod_t eta(q^t)^(r_t) is q^(sum t r_t / 24) times
 prod_n (1 - q^n)^(g_n) with g_n = sum_{t | n} r_t, so it is expanded from
 those exponents by one unit_product call, and the rational prefactor is
 attached to the result.
+
+The E2 identity is checked in integers: the log-derivative kernel's c_m
+on the Euler product must equal sigma_1(m).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .products import ExponentSequence, _logder_coefficients, unit_product
+from .products import ExponentSequence, _divisor_sums, _logder_coefficients, unit_product
 from .qseries import FracSeries, PowerSeries
 
 
@@ -61,11 +64,6 @@ def euler_product(order: int) -> PowerSeries:
     return PowerSeries.from_terms(terms, order)
 
 
-def dedekind_eta(order: int) -> FracSeries:
-    """eta(q) = q^(1/24) * prod (1 - q^n), inner product to the given order."""
-    return FracSeries.make(24, 1, euler_product(order).subst_monomial(1, 24))
-
-
 def eta_signed(t: int, sign: int, order: int) -> FracSeries:
     """eta(sign * q^t) = q^(t/24) * prod (1 - sign^n q^(t n)).
 
@@ -86,25 +84,11 @@ def eta_quotient_series(eq: EtaQuotient, order: int) -> FracSeries:
     return FracSeries.make(e.denominator, e.numerator, inner.subst_monomial(1, e.denominator))
 
 
-def e2_series(order: int) -> PowerSeries:
-    """E2 = 1/24 - sum sigma_1(n) q^n, exact; only the constant is rational."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    c = [0] * order
-    for d in range(1, order):
-        for m in range(d, order, d):
-            c[m] -= d
-    c[0] = Fraction(1, 24)
-    return PowerSeries(tuple(c))
-
-
 def verify_e2_identity(order: int) -> bool:
-    """Check q (d eta / dq) / eta = E2 to the given order.
+    """Check q (d eta / dq) / eta = E2 = 1/24 - sum sigma_1(m) q^m to the given order.
 
-    The fractional prefactor q^(1/24) contributes the constant 1/24, so the
-    check reduces to 1/24 + q P'/P = E2 with P the Euler product, where the
-    log-derivative kernel gives q P'/P = -sum c_m q^m in integers.
+    eta's prefactor q^(1/24) gives the constant 1/24, and the rest is
+    q P'/P = -sum c_m q^m for P = prod (1 - q^n), whose exponents are all 1,
+    so the kernel's c_m on P must equal their divisor sums sigma_1(m).
     """
-    c = _logder_coefficients(euler_product(order))
-    lhs = (Fraction(1, 24),) + tuple(-v for v in c[1:])
-    return lhs == e2_series(order).coeffs
+    return _logder_coefficients(euler_product(order)) == _divisor_sums([0] + [1] * (order - 1))

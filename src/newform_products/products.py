@@ -7,7 +7,8 @@ c_m = sum_{d|m} d*g_d, and n u_n = -sum_{k<=n} c_k u_{n-k} links u and c.
 Extraction solves that recurrence for c and inverts the divisor sums by an
 in-place Moebius sieve; expansion sieves the divisor sums of g and runs the
 recurrence forwards.  A slower peel-off extraction is checked against this
-one in the tests.
+one in the tests.  A product of blocks is checked in exponent space only:
+`_combined_exponents` gives its g, which search compares with the target's.
 
 Both directions run the recurrence on the stride t of the input's support:
 the gcd of the positive indices where u, or g, is nonzero (the divisor sums
@@ -209,23 +210,3 @@ def _combined_exponents(blocks, length: int) -> list:
         for j in range(1, need + 1):
             lam[j * t_i] += r_i * a_values[j - 1]
     return lam
-
-
-def generalized_logder_check(
-    blocks, f: PowerSeries, order: int
-) -> tuple[bool, int | None]:
-    """Check the multi-block logarithmic-derivative expansion against f.
-
-    blocks: iterable of (a_values, r_i, t_i) where a_values is the block's
-    exponent prefix a_1, a_2, ...  Verifies, for every m < order, that the
-    coefficient c_m of 1 - q f'/f equals sum_{d|m} d * lam_d with
-    lam_d = sum_{t_i | d} r_i * a_{i, d/t_i}.  Returns (ok, first mismatch m).
-    """
-    u = _monic_unit_part(f)
-    checkable = min(order, u.order)
-    expected = _divisor_sums(_combined_exponents(blocks, checkable))
-    c = _logder_coefficients(u)
-    for m in range(1, checkable):
-        if expected[m] != c[m]:
-            return False, m
-    return True, None

@@ -1,10 +1,9 @@
 """Exact truncated power series and fractional-exponent series.
 
 A PowerSeries of order T knows the coefficients of q^0 .. q^(T-1) exactly,
-as Python ints (E2's constant 1/24 is a Fraction, but E2 is never
-multiplied).  Every binary operation truncates to the minimum of the input
-orders; no operation ever fabricates coefficients beyond what the inputs
-justify.  Inversion needs constant term +1 or -1.
+as Python ints.  Every binary operation truncates to the minimum of the
+input orders; no operation ever fabricates coefficients beyond what the
+inputs justify.  Inversion needs constant term +1 or -1.
 
 A FracSeries represents q^(offset/denom) * S(q^(1/denom)).  It is kept in a
 normal form (leading coefficient of S nonzero, gcd of denom/offset/support
@@ -20,8 +19,7 @@ slot; CPython multiplies the two ints in C (Karatsuba), and the product's
 slots are read back from its bytes.  The inverse runs Newton's iteration
 h <- h (2 - a h), doubling the known length each step, on the same packed
 product (von zur Gathen and Gerhard, "Modern Computer Algebra", section
-9.1).  `frac_equal_to` lays both series out on their common q^(1/d) grid
-and compares integer-indexed lists.
+9.1).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, islice
 
-from .errors import NonUnitConstantTerm, PrecisionExceeded
+from .errors import NonUnitConstantTerm
 
 
 @dataclass(frozen=True)
@@ -121,21 +119,15 @@ class PowerSeries:
                 base = base * base
         return result
 
-    def subst_monomial(self, sign: int, t: int, max_order: int | None = None) -> "PowerSeries":
-        """q -> sign * q^t; output order is input order * t, capped at max_order."""
+    def subst_monomial(self, sign: int, t: int) -> "PowerSeries":
+        """q -> sign * q^t; output order is input order * t."""
         if sign not in (1, -1):
             raise ValueError("sign must be +-1")
         if t < 1:
             raise ValueError("scale must be a positive integer")
-        T = self.order * t
-        if max_order is not None:
-            T = min(T, max_order)
-        out = [0] * T
+        out = [0] * (self.order * t)
         for n, c in enumerate(self.coeffs):
-            k = n * t
-            if k >= T:
-                break
-            out[k] = c if (sign == 1 or n % 2 == 0) else -c
+            out[n * t] = c if (sign == 1 or n % 2 == 0) else -c
         return PowerSeries(tuple(out))
 
     def __str__(self):
@@ -251,36 +243,3 @@ def frac_mul(a: FracSeries, b: FracSeries) -> FracSeries:
     d = math.lcm(a.denom, b.denom)
     ga, gb = _regrid(a, d), _regrid(b, d)
     return _normalize(d, ga.offset + gb.offset, ga.series * gb.series)
-
-
-def frac_equal_to(a: FracSeries, b: FracSeries, bound) -> tuple[bool, Fraction | None]:
-    """Compare all coefficients at exponents < bound; returns (ok, first mismatch).
-
-    Both series are laid out densely on the common grid q^(1/d), at the
-    integer indices from the lower offset up to bound * d, and compared there.
-    """
-    bound = Fraction(bound)
-    if a.exponent_bound() < bound or b.exponent_bound() < bound:
-        raise PrecisionExceeded(
-            f"comparison to exponent {bound} exceeds truncation "
-            f"({a.exponent_bound()}, {b.exponent_bound()})"
-        )
-    d = math.lcm(a.denom, b.denom)
-    stop = -(-bound.numerator * d // bound.denominator)  # grid indices k < bound * d
-    start = min(a.offset * (d // a.denom), b.offset * (d // b.denom))
-    xa, xb = _on_grid(a, d, start, stop), _on_grid(b, d, start, stop)
-    if xa == xb:
-        return True, None
-    first = next(k for k, (x, y) in enumerate(zip(xa, xb)) if x != y)
-    return False, Fraction(start + first, d)
-
-
-def _on_grid(a: FracSeries, d: int, start: int, stop: int) -> list:
-    """Coefficients of a at the exponents k/d for start <= k < stop, as a list."""
-    s = d // a.denom
-    out = [0] * max(0, stop - start)
-    first = a.offset * s - start
-    n = min(a.series.order, -(-(len(out) - first) // s))
-    if n > 0:
-        out[first : first + n * s : s] = a.series.coeffs[:n]
-    return out

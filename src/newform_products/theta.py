@@ -15,6 +15,10 @@ no product at all: point counting gives eta256 in coefficient form, and one
 series squaring gives its square.  Series powers remain only for that
 square and the powers of phi(q^2) and psi(-q^2) in identity 1, which are
 both theta_sum specializations.
+
+Each identity check compares integer lists on the grid its two sides
+share: q^(1/d) for the triple product, and the integer grid for the eta256
+identities once their prefactor q^(1/2) is divided out.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from itertools import count
 from .elliptic import an_expansion, curve_from_quintuple
 from .errors import BlockMismatch
 from .products import ExponentSequence, unit_product
-from .qseries import FracSeries, PowerSeries
+from .qseries import FracSeries, PowerSeries, _regrid
 
 ETA256_CURVE = (0, 0, 0, -2, 0)
 ETA256_CURVE_ISOGENOUS = (0, 0, 0, 8, 0)
@@ -212,6 +216,16 @@ def verify_eta256_identities(order: int) -> tuple[bool, bool, tuple]:
     if at2 is not None:
         at2 += Fraction(1, 2)
     return at1 is None, at2 is None, (at1, at2)
+
+
+def verify_triple_product(a: MonomialArg, b: MonomialArg, order: int) -> tuple[bool, Fraction | None]:
+    """(ok, first mismatch or None) of theta_sum = theta_product below q^order.
+    Both start at q^0 with constant term 1, so on their common grid q^(1/d)
+    they are integer lists of length order * d."""
+    s, p = theta_sum(a, b, order), theta_product(a, b, order)
+    d = math.lcm(s.denom, p.denom)
+    at = _first_mismatch(_regrid(s, d).series, _regrid(p, d).series)
+    return at is None, None if at is None else at / d
 
 
 def _first_mismatch(a: PowerSeries, b: PowerSeries) -> Fraction | None:

@@ -21,7 +21,7 @@ from newform_products.errors import (
     PrecisionExceeded,
     SingularCurve,
 )
-from newform_products.eta import EtaQuotient, dedekind_eta
+from newform_products.eta import EtaQuotient, eta_signed
 from newform_products.products import (
     ExponentSequence,
     _combined_exponents,
@@ -208,7 +208,7 @@ def eta_quotient_series_by_powers(eq: EtaQuotient, order: int) -> FracSeries:
     eta(q^t)^r raised by square-and-multiply (and a Newton inverse for r < 0)."""
     result = None
     for t, r in eq.terms:
-        part = frac_pow(frac_subst_scale(dedekind_eta(max(order // t + 1, 2)), t), r)
+        part = frac_pow(frac_subst_scale(eta_signed(1, 1, max(order // t + 1, 2)), t), r)
         result = part if result is None else frac_mul(result, part)
     if result is None:
         return FracSeries.make(1, 0, PowerSeries.one(order))

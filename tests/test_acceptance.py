@@ -26,7 +26,6 @@ from newform_products.products import (
     reconstruct,
     unit_product,
 )
-from newform_products.qseries import frac_equal_to
 from newform_products.registry import builtin_table1, record_for
 from newform_products.search import enumerate_candidates, eta_quotient_search
 from newform_products.theta import (
@@ -38,6 +37,7 @@ from newform_products.theta import (
 )
 
 from oracles import count_points_naive, eta256_block, extract_exponents_peeling
+from oracles import frac_equal_to_by_exponents as frac_equal_to
 
 
 def report(number: int, ok: bool, detail: str = "") -> None:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from newform_products import cli
+from newform_products import cli, theta
 from newform_products.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from newform_products.errors import TableMismatch
 from newform_products.products import ExponentSequence
@@ -287,7 +287,7 @@ class TestThetaFailure:
     @pytest.fixture
     def wrong_product(self, monkeypatch):
         # every product side is psi(q) = f(q, q^3), so only that pair agrees
-        monkeypatch.setattr(cli, "theta_product", lambda a, b, order: theta_sum(
+        monkeypatch.setattr(theta, "theta_product", lambda a, b, order: theta_sum(
             MonomialArg(1, 1), MonomialArg(1, 3), order))
 
     @pytest.fixture

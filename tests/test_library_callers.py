@@ -1,6 +1,7 @@
 """Every library function and method has a caller in the library itself,
-every name a library module imports is read in it, and every name the
-benchmark's tracer wraps exists.
+every name a library module imports is read in it, every name in the
+package's `__all__` resolves, and every name the benchmark's tracer wraps
+exists.
 
 Code that only the tests reach belongs in the tests (see `tests/oracles.py`)
 or nowhere.  Callers are matched by name: a definition counts as used when
@@ -95,6 +96,13 @@ def test_every_import_is_read():
         for path in PACKAGE.glob("*.py")
     }
     assert {module: names for module, names in unused.items() if names} == {}
+
+
+def test_every_public_name_resolves():
+    # test_every_import_is_read counts an `__all__` entry as read, so a
+    # deleted name left in `__all__` would pass it
+    package = importlib.import_module("newform_products")
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []
 
 
 def test_tracer_targets_resolve():

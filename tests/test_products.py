@@ -12,7 +12,6 @@ from newform_products.products import (
     _logder_coefficients,
     block_profile,
     extract_exponents,
-    generalized_logder_check,
     infer_block,
     log_derivative_quotient,
     reconstruct,
@@ -137,36 +136,6 @@ class TestKnownBlocks:
         assert 1 in profile.monotone_report
 
 
-class TestGeneralizedCheck:
-    def test_single_block_consistency(self):
-        f = f37(41)
-        a = extract_exponents(f)
-        half = tuple(v // 2 for v in a.g)
-        ok, where = generalized_logder_check([(half, 2, 1)], f, 41)
-        assert ok and where is None
-
-    def test_perturbation_located(self):
-        f = f37(41)
-        a = extract_exponents(f)
-        half = list(v // 2 for v in a.g)
-        half[2] += 1  # perturb a_3
-        ok, where = generalized_logder_check([(tuple(half), 2, 1)], f, 41)
-        assert not ok and where == 3
-
-    def test_block_splitting_linearity(self):
-        # r*a on grid t  ==  sum of two blocks (r-1)*a and 1*a on the same grid
-        f = f37(41)
-        a = extract_exponents(f)
-        half = tuple(v // 2 for v in a.g)
-        ok, _ = generalized_logder_check([(half, 1, 1), (half, 1, 1)], f, 41)
-        assert ok
-
-    def test_insufficient_terms(self):
-        f = f37(41)
-        with pytest.raises(PrecisionExceeded):
-            generalized_logder_check([((1, 2, 3), 2, 1)], f, 41)
-
-
 class TestKernelDifferential:
     """The kernel against routes that share none of its code."""
 
@@ -215,16 +184,6 @@ class TestKernelDifferential:
             e = q_d_dq(u) * u.inverse()
             expected = (e.coeffs[0] + 1,) + e.coeffs[1:]
             assert log_derivative_quotient(f).coeffs == expected
-
-    def test_grid_block_perturbation_located(self):
-        rec = record_for(88)  # r=1, t=2
-        f = an_expansion(curve_from_quintuple(rec.curves[0]), 26)
-        assert generalized_logder_check([(rec.a_printed, 1, 2)], f, 26) == (True, None)
-        for j in (1, 4, 12):
-            a = list(rec.a_printed)
-            a[j - 1] += 1
-            ok, where = generalized_logder_check([(tuple(a), 1, 2)], f, 26)
-            assert not ok and where == 2 * j
 
 
 def _against_dense_oracle(f: PowerSeries):

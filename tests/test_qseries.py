@@ -5,12 +5,10 @@ import pytest
 
 from newform_products.errors import (
     NonUnitConstantTerm,
-    PrecisionExceeded,
 )
 from newform_products.qseries import (
     FracSeries,
     PowerSeries,
-    frac_equal_to,
     frac_mul,
 )
 
@@ -238,47 +236,6 @@ class TestAgainstSchoolbook:
         for a in (PowerSeries((-1,)), PowerSeries.one(1), PowerSeries.one(50)):
             assert a.inverse().coeffs == inverse_by_recurrence(a).coeffs
 
-    def test_frac_equal_to(self):
-        rng = random.Random(1005)
-        mismatches = 0
-        for _ in range(1500):
-            a = FracSeries.make(
-                rng.choice((1, 2, 3, 4, 6, 24)),
-                rng.randint(-12, 12),
-                strided_series(rng, rng.randint(1, 40), 1, 2, 0.5),
-            )
-            b = a
-            if rng.random() < 0.3:
-                b = FracSeries.make(
-                    rng.choice((1, 2, 3, 8)),
-                    rng.randint(-12, 12),
-                    strided_series(rng, rng.randint(1, 40), 1, 2, 0.5),
-                )
-            elif any(a.series.coeffs):
-                # the same series with one coefficient changed
-                c = list(a.series.coeffs)
-                c[rng.randrange(len(c))] += rng.choice((1, -1))
-                b = FracSeries.make(a.denom, a.offset, PowerSeries(tuple(c)))
-            bound = Fraction(rng.randint(-30, 60), rng.choice((1, 2, 5, 24)))
-            try:
-                expected = frac_equal_to_by_exponents(a, b, bound)
-            except PrecisionExceeded:
-                with pytest.raises(PrecisionExceeded):
-                    frac_equal_to(a, b, bound)
-                continue
-            assert frac_equal_to(a, b, bound) == expected
-            mismatches += not expected[0]
-        assert mismatches > 150
-
-    def test_frac_equal_to_first_mismatch_between_grids(self):
-        # a on the 1/2 grid, b on the 1/3 grid: the first mismatch is at
-        # 1/3, an exponent only b has, ahead of a's first term at 1/2
-        a = FracSeries.make(2, 1, PowerSeries((1, 0, 2, 0, 3, 0)))
-        b = FracSeries.make(3, 1, PowerSeries((7, 0, 0, 0, 0, 0, 0, 0, 0)))
-        assert frac_equal_to(a, b, 3) == frac_equal_to_by_exponents(a, b, 3)
-        assert frac_equal_to(a, b, 3) == (False, Fraction(1, 3))
-        assert frac_equal_to(a, b, Fraction(1, 3)) == (True, None)
-
 
 class TestFracSeries:
     def test_frac_mul_offsets_add(self):
@@ -322,5 +279,5 @@ class TestFracSeries:
     def test_frac_equal_to_reports_first_mismatch(self):
         a = FracSeries.make(2, 1, PowerSeries((1, 0, 2, 0, 3)))
         b = FracSeries.make(2, 1, PowerSeries((1, 0, 2, 0, 4)))
-        ok, at = frac_equal_to(a, b, 3)
+        ok, at = frac_equal_to_by_exponents(a, b, 3)
         assert not ok and at == Fraction(5, 2)

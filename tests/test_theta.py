@@ -10,7 +10,7 @@ from newform_products import products, theta
 from newform_products.errors import BlockMismatch
 from newform_products.eta import eta_signed
 from newform_products.products import ExponentSequence, unit_product
-from newform_products.qseries import FracSeries, PowerSeries, frac_equal_to
+from newform_products.qseries import FracSeries, PowerSeries
 from newform_products.theta import (
     ETA256_CURVE,
     ETA256_CURVE_ISOGENOUS,
@@ -22,11 +22,12 @@ from newform_products.theta import (
     theta_product,
     theta_sum,
     verify_eta256_identities,
+    verify_triple_product,
     verify_weight4,
     weight4_series,
 )
 
-from oracles import eta256_block, frac_pow, psi
+from oracles import eta256_block, frac_equal_to_by_exponents, frac_pow, psi
 
 
 def eta256_squared_by_product(order):
@@ -69,10 +70,25 @@ def phi(order):
 class TestTripleProduct:
     @pytest.mark.parametrize("a,b", PAIRS)
     def test_sum_equals_product(self, a, b):
-        s = theta_sum(a, b, 200)
-        p = theta_product(a, b, 200)
-        ok, where = frac_equal_to(s, p, 200)
-        assert ok, where
+        assert verify_triple_product(a, b, 200) == (True, None)
+
+    @pytest.mark.parametrize("k", [1, -1])
+    @pytest.mark.parametrize("a,b", PAIRS)
+    def test_first_mismatch_equals_oracle(self, monkeypatch, a, b, k):
+        # one coefficient of the product side changed, at its second or its
+        # last grid index; on a fractional grid the last one lies past order
+        product = theta.theta_product
+
+        def bumped(a, b, order):
+            p = product(a, b, order)
+            c = list(p.series.coeffs)
+            c[k] += 1
+            return FracSeries.make(p.denom, p.offset, PowerSeries(tuple(c)))
+
+        expected = frac_equal_to_by_exponents(theta_sum(a, b, 30), bumped(a, b, 30), 30)
+        monkeypatch.setattr(theta, "theta_product", bumped)
+        assert not expected[0]
+        assert verify_triple_product(a, b, 30) == expected
 
     def test_nonpositive_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -108,7 +124,7 @@ class TestClassicalTheta:
         # theta(-q^2, -q^6), as identity 1 sums it, vs substitution into psi
         direct = theta_sum(MonomialArg(-1, 2), MonomialArg(-1, 6), 40)
         assert direct.denom == 1 and direct.offset == 0
-        alt = psi(20).subst_monomial(-1, 2, max_order=40)
+        alt = psi(20).subst_monomial(-1, 2)
         assert direct.series.coeffs == alt.coeffs
 
 
@@ -239,7 +255,7 @@ class TestSignedFactors:
         _add_signed_factors(g, 2, 2, -1, -1, r)
         ours = FracSeries.make(12, r, _expand(g).subst_monomial(1, 12))
         theirs = frac_pow(eta_signed(2, -1, order // 2 + 1), r)
-        ok, where = frac_equal_to(ours, theirs, order - 1)
+        ok, where = frac_equal_to_by_exponents(ours, theirs, order - 1)
         assert ok, where
 
     def test_last_factor_inside_the_order(self):
