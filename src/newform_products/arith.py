@@ -1,4 +1,5 @@
-"""Exact integer number theory: factorization, primality, prime sieves, divisors.
+"""Exact integer number theory: factorization, primality, a smallest-prime-factor
+sieve, divisors.
 
 Everything here is pure and exact.  `factor` trial-divides, so its inputs
 stay small (see its size note); `is_prime` is a Miller-Rabin test that is
@@ -97,18 +98,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def primes_upto(limit: int) -> list[int]:
-    """All primes p <= limit, by sieve."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(limit + 1) if sieve[p]]
 
 
 def smallest_prime_factors(limit: int) -> list[int]:

@@ -27,7 +27,13 @@ from .eta import verify_e2_identity
 from .products import block_profile, extract_exponents, infer_block
 from .qseries import PowerSeries
 from .registry import builtin_table1, extend_block, load_registry, unlimited_int_digits
-from .search import assemble, enumerate_candidates, eta_quotient_search, match_against
+from .search import (
+    DEFAULT_ETA_EXPONENT_BOUND,
+    assemble,
+    enumerate_candidates,
+    eta_quotient_search,
+    match_against,
+)
 from .theta import MonomialArg, verify_eta256_identities, verify_triple_product, verify_weight4
 
 EXIT_OK = 0
@@ -422,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("etaquotient", help="classical eta-quotient search per level")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--order", type=int, default=30)
-    p.add_argument("--max-exponent", type=int, default=24)
+    p.add_argument("--max-exponent", type=int, default=DEFAULT_ETA_EXPONENT_BOUND)
     p.set_defaults(func=cmd_etaquotient)
 
     p = sub.add_parser("verify-all", help="one-shot offline verification suite")

@@ -14,7 +14,7 @@ At p <= 229, where the theorem does not hold, and at bad p, where the
 singular point must be counted, the count reads a table of squares mod p
 along the completed-square cubic, which is stepped by finite differences.
 The coefficient sequence f_n follows from the a_p by the Hecke recurrence
-at prime powers and multiplicativity, filled from a smallest-prime-factor
+at prime powers and multiplicativity in one pass over a smallest-prime-factor
 sieve.  Input models must be globally minimal.  A sanity check rejects
 obviously non-minimal models at primes >= 5 by trial division up to 10^6,
 and refuses (ValueError) a model whose gcd(c4^3, c6^2) keeps a factor it
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import is_prime, primes_upto, smallest_prime_factors
+from .arith import is_prime, smallest_prime_factors
 from .errors import InternalIntegralityFailure, SingularCurve
 from .qseries import PowerSeries
 
@@ -274,23 +274,15 @@ def _cached_reduction(c: Curve, p: int) -> ReductionInfo:
 def an_expansion(c: Curve, order: int) -> PowerSeries:
     """Newform q-expansion sum f_n q^n to the given truncation order.
 
-    f_1 = 1; at each prime, f_{p^k} = a_p*f_{p^(k-1)} - [p does not divide
-    disc]*p*f_{p^(k-2)} with a_p from `reduction_at`.  Every other n is
-    filled by multiplicativity, f_n = f_{p^e} * f_{n/p^e} with p the
-    smallest prime factor of n from one sieve and p^e its full power in n.
+    One pass over n = 2 .. order - 1, with p the smallest prime factor of n
+    from one sieve and p^e its full power in n: f_p = a_p from `reduction_at`
+    (asked once per prime, p increasing), f_{p^k} = a_p*f_{p^(k-1)} -
+    [p does not divide disc]*p*f_{p^(k-2)}, and f_n = f_{p^e} * f_{n/p^e} otherwise.
     """
     if order < 2:
         raise ValueError("an_expansion needs order >= 2")
     f = [0] * order
     f[1] = 1
-    for p in primes_upto(order - 1):
-        ap = _cached_reduction(c, p).ap
-        good_p = p if c.disc % p else 0
-        pk, prev, prev2 = p, 1, 0  # f_{p^{k-1}}, f_{p^{k-2}}
-        while pk < order:
-            f[pk] = ap * prev - good_p * prev2
-            prev2, prev = prev, f[pk]
-            pk *= p
     spf = smallest_prime_factors(order - 1)
     pe = [1] * order  # pe[n] = the full power of spf[n] dividing n
     for n in range(2, order):
@@ -299,4 +291,8 @@ def an_expansion(c: Curve, order: int) -> PowerSeries:
         pe[n] = pe[m] * p if spf[m] == p else p
         if pe[n] != n:
             f[n] = f[pe[n]] * f[n // pe[n]]
+        elif m == 1:
+            f[n] = _cached_reduction(c, p).ap
+        else:
+            f[n] = f[p] * f[m] - (p if c.disc % p else 0) * f[m // p]
     return PowerSeries(tuple(f))

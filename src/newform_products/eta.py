@@ -1,9 +1,10 @@
 """Signed-argument eta, eta quotients, and the E2 identity.
 
+Euler's product prod (1 - q^n) is the theta_sum specialization f(-q, -q^2).
 An eta quotient prod_t eta(q^t)^(r_t) is q^(sum t r_t / 24) times
-prod_n (1 - q^n)^(g_n) with g_n = sum_{t | n} r_t, so it is expanded from
-those exponents by one unit_product call, and the rational prefactor is
-attached to the result.
+prod_n (1 - q^n)^(g_n), with g_n = sum_{t | n} r_t from
+`EtaQuotient.exponents`, so one unit_product call expands it and the
+rational prefactor is attached to the result.
 
 The E2 identity is checked in integers: the log-derivative kernel's c_m
 on the Euler product must equal sigma_1(m).
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 from .products import ExponentSequence, _divisor_sums, _logder_coefficients, unit_product
 from .qseries import FracSeries, PowerSeries
+from .theta import MonomialArg, theta_sum
 
 
 @dataclass(frozen=True)
@@ -40,28 +42,22 @@ class EtaQuotient:
     def leading_exponent(self) -> Fraction:
         return Fraction(sum(t * r for t, r in self.terms), 24)
 
+    def exponents(self, length: int) -> list:
+        """g_n = sum_{t | n} r_t for 1 <= n < length; index 0 is unused."""
+        g = [0] * length
+        for t, r in self.terms:
+            for n in range(t, length, t):
+                g[n] += r
+        return g
+
     def __str__(self):
         return " * ".join(f"eta(q^{t})^{r}" for t, r in self.terms) or "1"
 
 
 def euler_product(order: int) -> PowerSeries:
-    """prod_{n>=1} (1 - q^n) truncated, via Euler's pentagonal number theorem."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    terms = {0: 1}
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        if e1 >= order and e2 >= order:
-            break
-        sign = -1 if k % 2 else 1
-        if e1 < order:
-            terms[e1] = sign
-        if e2 < order:
-            terms[e2] = sign
-        k += 1
-    return PowerSeries.from_terms(terms, order)
+    """prod_{n>=1} (1 - q^n) truncated: Ramanujan's theta f(-q, -q^2), whose
+    terms are Euler's pentagonal numbers."""
+    return theta_sum(MonomialArg(-1, 1), MonomialArg(-1, 2), order).series
 
 
 def eta_signed(t: int, sign: int, order: int) -> FracSeries:
@@ -75,11 +71,7 @@ def eta_signed(t: int, sign: int, order: int) -> FracSeries:
 
 def eta_quotient_series(eq: EtaQuotient, order: int) -> FracSeries:
     """Expand the quotient with inner products carried to the given q-order."""
-    g = [0] * order
-    for t, r in eq.terms:
-        for n in range(t, order, t):
-            g[n] += r
-    inner = unit_product(ExponentSequence(tuple(g[1:])), order)
+    inner = unit_product(ExponentSequence(tuple(eq.exponents(order)[1:])), order)
     e = eq.leading_exponent
     return FracSeries.make(e.denominator, e.numerator, inner.subst_monomial(1, e.denominator))
 

@@ -196,17 +196,13 @@ def infer_block(g: ExponentSequence) -> tuple[int, int]:
 def _combined_exponents(blocks, length: int) -> list:
     """lam_d = sum_{t_i | d} r_i * a_{i, d/t_i} for 1 <= d < length; index 0 is unused.
 
-    blocks: iterable of (a_values, r_i, t_i).  For blocks
+    blocks: iterable of (a_values, r_i, t_i), each a_values holding at least
+    (length - 1) // t_i terms; the caller refuses a shorter block.  For blocks
     B_i = q^(e_i) prod (1 - q^n)^(a_{i,n}), the product prod_i B_i(q^(t_i))^(r_i)
     is q^(sum r_i t_i e_i) prod (1 - q^d)^(lam_d).
     """
     lam = [0] * length
     for a_values, r_i, t_i in blocks:
-        need = (length - 1) // t_i
-        if len(a_values) < need:
-            raise PrecisionExceeded(
-                f"block with t={t_i} supplies {len(a_values)} terms, needs {need}"
-            )
-        for j in range(1, need + 1):
+        for j in range(1, (length - 1) // t_i + 1):
             lam[j * t_i] += r_i * a_values[j - 1]
     return lam

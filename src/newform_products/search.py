@@ -219,17 +219,12 @@ def eta_quotient_search(
         if t > g.upto:
             break
         r[t] = g.at(t) - sum(r[d] for d in divisors(t) if d != t)
+    eq = EtaQuotient(tuple((t, rt) for t, rt in r.items() if rt != 0))
     # consistency of every extracted exponent with the periodic pattern
-    for n in range(1, g.upto + 1):
-        expected = sum(rt for t, rt in r.items() if n % t == 0)
-        if g.at(n) != expected:
-            return []
-    terms = tuple(sorted((t, rt) for t, rt in r.items() if rt != 0))
-    if not terms:
+    if eq.exponents(g.upto + 1)[1:] != list(g.g):
         return []
-    if any(abs(rt) > exponent_bound for _, rt in terms):
+    if any(abs(rt) > exponent_bound for _, rt in eq.terms):
         return []
-    eq = EtaQuotient(terms)
     if eq.weight_numerator != 4 or eq.leading_exponent != 1:
         return []
     return [eq]

@@ -14,7 +14,7 @@ eta^r(+-q^t) is carried as an exponent, not as a series.  eta256^2 needs
 no product at all: point counting gives eta256 in coefficient form, and one
 series squaring gives its square.  Series powers remain only for that
 square and the powers of phi(q^2) and psi(-q^2) in identity 1, which are
-both theta_sum specializations.
+both theta_sum specializations, as is Euler's product f(-q, -q^2).
 
 Each identity check compares integer lists on the grid its two sides
 share: q^(1/d) for the triple product, and the integer grid for the eta256

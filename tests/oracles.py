@@ -55,6 +55,19 @@ def q_d_dq(a: PowerSeries) -> PowerSeries:
     return PowerSeries(tuple(n * c for n, c in enumerate(a.coeffs)))
 
 
+def primes_upto(limit: int) -> list[int]:
+    """All primes p <= limit, by the sieve of Eratosthenes: the reference
+    for `is_prime` and for the primes of `smallest_prime_factors`."""
+    if limit < 2:
+        return []
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [p for p in range(limit + 1) if sieve[p]]
+
+
 def count_points_naive(c, p: int) -> int:
     """#E~(F_p) by a full (x, y) double loop plus infinity."""
     n = 1

@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from newform_products.arith import primes_upto
 from newform_products.cli import EXIT_OK, main
 from newform_products.elliptic import (
     an_expansion,
@@ -36,7 +35,7 @@ from newform_products.theta import (
     verify_weight4,
 )
 
-from oracles import count_points_naive, eta256_block, extract_exponents_peeling
+from oracles import count_points_naive, eta256_block, extract_exponents_peeling, primes_upto
 from oracles import frac_equal_to_by_exponents as frac_equal_to
 
 

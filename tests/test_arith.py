@@ -6,10 +6,10 @@ from newform_products.arith import (
     divisors,
     factor,
     is_prime,
-    primes_upto,
+    smallest_prime_factors,
 )
 
-from oracles import legendre
+from oracles import legendre, primes_upto
 
 
 class TestFactor:
@@ -137,3 +137,18 @@ class TestIsPrime:
         monkeypatch.setattr(arith, "factor", recorded)
         assert not is_prime.__wrapped__(n)
         assert calls == [n]
+
+
+class TestSmallestPrimeFactors:
+    @pytest.mark.parametrize(
+        "limit, expected", [(0, [0]), (1, [0, 1]), (2, [0, 1, 2]), (3, [0, 1, 2, 3])]
+    )
+    def test_small_limits(self, limit, expected):
+        assert smallest_prime_factors(limit) == expected
+
+    def test_against_factor_and_sieve(self):
+        spf = smallest_prime_factors(10 ** 4)
+        assert len(spf) == 10 ** 4 + 1
+        for n in range(2, 10 ** 4 + 1):
+            assert spf[n] == factor(n).factors[0][0], n
+        assert [n for n in range(2, 10 ** 4 + 1) if spf[n] == n] == primes_upto(10 ** 4)

@@ -8,7 +8,7 @@ import pytest
 
 from newform_products import arith, elliptic
 
-from newform_products.arith import factor, is_prime, primes_upto
+from newform_products.arith import factor, is_prime
 from newform_products.elliptic import (
     ADDITIVE,
     GOOD,
@@ -29,6 +29,7 @@ from oracles import (
     count_points_legendre,
     count_points_naive,
     legendre,
+    primes_upto,
     reject_nonminimal_by_factoring,
 )
 
@@ -380,6 +381,22 @@ class TestExpansion:
             elliptic._cached_reduction.__wrapped__))
         f = an_expansion(c, 300)
         assert calls == [] and f.coeffs[1] == 1
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 30, 1000])
+    def test_each_prime_asked_once_in_order(self, monkeypatch, order):
+        c = curve_from_quintuple((0, 0, 1, -1, 0))
+        cached = elliptic._cached_reduction
+        asked = []
+
+        def recorder(curve, p):
+            asked.append(p)
+            assert curve is c
+            return cached(curve, p)
+
+        monkeypatch.setattr(elliptic, "_cached_reduction", recorder)
+        f = an_expansion(c, order)
+        assert asked == primes_upto(order - 1)
+        assert f.coeffs[1:11] == (1, -2, -3, 2, -2, 6, -1, 0, 6, 4)[: order - 1]
 
     def test_bad_prime_powers(self):
         c = curve_from_quintuple((0, 0, 1, -1, 0))  # multiplicative at 37

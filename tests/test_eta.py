@@ -35,6 +35,14 @@ class TestEulerProduct:
         # 1 - q - q^2 + q^5 + q^7 - q^12 + ...
         assert euler_product(13).coeffs == (1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1)
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_shortest_orders_vs_dense(self, order):
+        assert euler_product(order).coeffs == euler_product_dense(order).coeffs
+
+    def test_order_zero_rejected(self):
+        with pytest.raises(ValueError):
+            euler_product(0)
+
 
 class TestDedekindEta:
     def test_leading_exponent(self):
@@ -86,6 +94,15 @@ class TestEtaQuotient:
             EtaQuotient(terms=((6, 0),))
         with pytest.raises(ValueError):
             EtaQuotient(terms=((6, 4), (6, 1)))
+
+    @pytest.mark.parametrize("length", [1, 2, 50, 200])
+    @pytest.mark.parametrize("level", sorted(MARTIN_ONO))
+    def test_martin_ono_exponents_are_divisor_sums(self, level, length):
+        r = dict(MARTIN_ONO[level][1])
+        expected = [0] + [
+            sum(r.get(d, 0) for d in arith.divisors(n)) for n in range(1, length)
+        ]
+        assert EtaQuotient(MARTIN_ONO[level][1]).exponents(length) == expected
 
     def test_weight_and_leading_exponent(self):
         eq = EtaQuotient(terms=((6, 4),))

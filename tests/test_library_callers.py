@@ -1,7 +1,7 @@
 """Every library function and method has a caller in the library itself,
-every name a library module imports is read in it, every name in the
-package's `__all__` resolves, and every name the benchmark's tracer wraps
-exists.
+no test oracle shares a name with a library definition, every name a
+library module imports is read in it, every name in the package's
+`__all__` resolves, and every name the benchmark's tracer wraps exists.
 
 Code that only the tests reach belongs in the tests (see `tests/oracles.py`)
 or nowhere.  Callers are matched by name: a definition counts as used when
@@ -68,6 +68,20 @@ def _without_library_caller():
 
 def test_every_definition_has_a_library_caller():
     assert _without_library_caller() == sorted(NO_LIBRARY_CALLER)
+
+
+def test_no_oracle_shares_a_library_name():
+    # an oracle moved out of `src/` (such as `primes_upto`) must not come
+    # back as a second library copy under its old name
+    library = {
+        node.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    names = {node.name for node in oracles.body if isinstance(node, ast.FunctionDef)}
+    assert sorted(names & library) == []
 
 
 def _unused_imports(tree):

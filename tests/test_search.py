@@ -489,3 +489,17 @@ class TestEtaQuotientSearch:
 
     def test_tight_exponent_bound_excludes(self):
         assert eta_quotient_search(36, 30, exponent_bound=3) == []
+
+    @pytest.mark.parametrize("n", [5, None])
+    def test_exponent_off_the_pattern_excludes(self, monkeypatch, n):
+        # g_5 and the last g_n of level 36 lie off every divisor of 36, so
+        # they leave the solved r_t alone and only the consistency check sees them
+        extract = search.extract_exponents
+
+        def bumped(f):
+            g = list(extract(f).g)
+            g[(n or len(g)) - 1] += 1
+            return ExponentSequence(tuple(g))
+
+        monkeypatch.setattr(search, "extract_exponents", bumped)
+        assert eta_quotient_search(36, 30) == []
