@@ -3,25 +3,28 @@
 At every prime p, a_p = p + 1 - #E~(F_p), where E~ is the reduction of the
 model mod p and the count includes its singular point if it has one.  On a
 model minimal at p this gives a_p at good p and 1, -1, 0 at split,
-nonsplit, additive p.  The count has two regimes.  At a good p > 229 it is
-found by Shanks-Mestre baby-step/giant-step on points of E and of its
-quadratic twist, in O(p^(1/4)) group operations per point: Mestre's
+nonsplit, additive p.  The count has three regimes.  At a good p > 229
+it is found by Shanks-Mestre baby-step/giant-step on points of E and of
+its quadratic twist, in O(p^(1/4)) group operations per point: Mestre's
 theorem makes #E(F_p) the one value in the Hasse interval that those point
 orders allow for every p > 229 (Cohen, "A Course in Computational Algebraic
 Number Theory", GTM 138, section 7.4.3; Schoof, "Counting points on
 elliptic curves over finite fields", J. Theor. Nombres Bordeaux 7 (1995)).
-At p <= 229, where the theorem does not hold, and at bad p, where the
-singular point must be counted, the count reads a table of squares mod p
-along the completed-square cubic, which is stepped by finite differences.
+At p = 2 every (x, y) is tried.  At odd p <= 229, where the theorem does
+not hold, and at bad p, where the singular point must be counted,
+completing the square gives y^2 = d(x) = 4x^3 + b2*x^2 + 2*b4*x + b6, and
+the count is 1 plus the number of square roots of d(x) mod p over all x,
+read from a table of squares mod p.
 The coefficient sequence f_n follows from the a_p by the Hecke recurrence
 at prime powers and multiplicativity in one pass over a smallest-prime-factor
-sieve.  Input models must be globally minimal.  A sanity check rejects
-obviously non-minimal models at primes >= 5 by trial division up to 10^6,
-and refuses (ValueError) a model whose gcd(c4^3, c6^2) keeps a factor it
-cannot decide within that bound; minimality at 2 and 3 is not
-checked, and a model that is not minimal there gives wrong f_n without an
-error (for example [0,0,8,-16,0], which is 37a rescaled by u = 2, gives
-f_2 = 0, not -2).
+sieve.  Input models must be globally minimal, and a model that is not is
+refused (SingularCurve).  At p = 2 and 3 it is not minimal exactly when
+p^4 | c4, p^6 | c6 and (c4/p^4, c6/p^6) meet Kraus's conditions for the
+invariants of an integral model, so [0,0,8,-16,0], which is 37a rescaled
+by u = 2, is refused at p = 2.  At p >= 5 it is not minimal exactly when
+p^12 | gcd(c4^3, c6^2), decided by trial division up to 10^6; a model
+whose gcd keeps a factor that this bound cannot decide is refused too
+(ValueError).
 """
 
 from __future__ import annotations
@@ -90,8 +93,27 @@ def curve_from_quintuple(a) -> Curve:
     disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     if disc == 0:
         raise SingularCurve(f"quintuple {list(a)} defines a singular curve")
+    _reject_nonminimal_at_2_and_3(c4, c6)
     _reject_nonminimal(c4, c6)
     return Curve(a1, a2, a3, a4, a6, b2, b4, b6, b8, c4, c6, disc)
+
+
+def _reject_nonminimal_at_2_and_3(c4: int, c6: int) -> None:
+    # not minimal at p exactly when (c4/p^4, c6/p^6) are the invariants of an
+    # integral model, which Kraus's conditions decide (Kraus, Acta Arith. 54
+    # (1989); Cremona, "Algorithms for Modular Elliptic Curves", 1997, 3.2)
+    for p in (2, 3):
+        if c4 % p ** 4 or c6 % p ** 6:
+            continue
+        c4p, c6p = c4 // p ** 4, c6 // p ** 6
+        if (
+            (c4p ** 3 - c6p ** 2) % 1728 == 0
+            and (c6p % 9 or c6p % 27 == 0)
+            and (c6p % 4 == 3 or (c4p % 16 == 0 and c6p % 32 in (0, 8)))
+        ):
+            raise SingularCurve(
+                f"model is not minimal at p={p} (Kraus's conditions hold for c4/p^4, c6/p^6)"
+            )
 
 
 # Trial divisors of gcd(c4^3, c6^2) stop here, so every gcd below
@@ -100,7 +122,7 @@ _MINIMALITY_TRIAL_BOUND = 10 ** 6
 
 
 def _reject_nonminimal(c4: int, c6: int) -> None:
-    # cheap sanity check for p >= 5 only; 2 and 3 need Tate's algorithm.
+    # p >= 5 only; `_reject_nonminimal_at_2_and_3` has decided 2 and 3.
     # As 1728 disc = c4^3 - c6^2, for p >= 5 "p^4 | c4 and p^12 | disc" is
     # "p^4 | c4 and p^6 | c6", which is p^12 | gcd(c4^3, c6^2)
     g = math.gcd(c4 ** 3, c6 ** 2)
@@ -131,17 +153,8 @@ def _reject_nonminimal(c4: int, c6: int) -> None:
 def count_points(c: Curve, p: int) -> int:
     """#E~(F_p): affine solutions mod p, a singular one included, plus infinity.
 
-    p = 2: exhaustive.  Good p > 229: Shanks-Mestre, see `_count_bsgs`.
-    Other odd p: completing the square turns the model into
-    y^2 = d(x) = 4x^3 + b2*x^2 + 2*b4*x + b6, so the count is 1 plus the sum
-    over x of the number of square roots of d(x) mod p.  Those are read from
-    a table of squares mod p; d(x) mod p is stepped by its forward
-    differences, with no pow and no % per x.  The table count is kept where
-    Mestre's theorem does not apply (p <= 229) and where the singular point
-    must be counted (p | disc); both are cheap or rare.  References: Cohen,
-    "A Course in Computational Algebraic Number Theory", GTM 138, section
-    7.4.3; Schoof, "Counting points on elliptic curves over finite fields",
-    J. Theor. Nombres Bordeaux 7 (1995).
+    The regimes are described in the module docstring: exhaustive at p = 2,
+    `_count_bsgs` at good p > 229, and a table of squares mod p elsewhere.
     """
     if not is_prime(p):
         raise ValueError(f"count_points needs a prime, got {p}")
@@ -159,21 +172,7 @@ def count_points(c: Curve, p: int) -> int:
     roots[0] = 1
     for y in range(1, p // 2 + 1):
         roots[y * y % p] = 2
-    # d(0) and the forward differences of d at 0, each reduced mod p
-    d, d1, d2, d3 = c.b6 % p, (4 + c.b2 + 2 * c.b4) % p, (24 + 2 * c.b2) % p, 24 % p
-    n = 1
-    for _ in range(p):
-        n += roots[d]
-        d += d1
-        if d >= p:
-            d -= p
-        d1 += d2
-        if d1 >= p:
-            d1 -= p
-        d2 += d3
-        if d2 >= p:
-            d2 -= p
-    return n
+    return 1 + sum(roots[(((4 * x + c.b2) * x + 2 * c.b4) * x + c.b6) % p] for x in range(p))
 
 
 def _count_bsgs(A: int, B: int, p: int) -> int:

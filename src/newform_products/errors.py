@@ -6,7 +6,7 @@ class NewformError(Exception):
 
 
 class SingularCurve(NewformError):
-    """Weierstrass data with vanishing discriminant."""
+    """Weierstrass data with vanishing discriminant, or a model that is not minimal."""
 
 
 class NonUnitConstantTerm(NewformError):

@@ -2,9 +2,10 @@
 
 Euler's product prod (1 - q^n) is the theta_sum specialization f(-q, -q^2).
 An eta quotient prod_t eta(q^t)^(r_t) is q^(sum t r_t / 24) times
-prod_n (1 - q^n)^(g_n), with g_n = sum_{t | n} r_t from
-`EtaQuotient.exponents`, so one unit_product call expands it and the
-rational prefactor is attached to the result.
+prod_n (1 - q^n)^(g_n), with g_n = sum_{t | n} r_t: eta(q^t) is q^(t/24)
+times the block whose a_n are all 1, so `EtaQuotient.exponents` combines
+those blocks, one unit_product call expands the result, and the rational
+prefactor is attached to it.
 
 The E2 identity is checked in integers: the log-derivative kernel's c_m
 on the Euler product must equal sigma_1(m).
@@ -15,7 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .products import ExponentSequence, _divisor_sums, _logder_coefficients, unit_product
+from .products import (
+    ExponentSequence,
+    _combined_exponents,
+    _divisor_sums,
+    _logder_coefficients,
+    unit_product,
+)
 from .qseries import FracSeries, PowerSeries
 from .theta import MonomialArg, theta_sum
 
@@ -44,11 +51,9 @@ class EtaQuotient:
 
     def exponents(self, length: int) -> list:
         """g_n = sum_{t | n} r_t for 1 <= n < length; index 0 is unused."""
-        g = [0] * length
-        for t, r in self.terms:
-            for n in range(t, length, t):
-                g[n] += r
-        return g
+        return _combined_exponents(
+            (((1,) * ((length - 1) // t), r, t) for t, r in self.terms), length
+        )
 
     def __str__(self):
         return " * ".join(f"eta(q^{t})^{r}" for t, r in self.terms) or "1"

@@ -185,12 +185,9 @@ def block_profile(g: ExponentSequence, r_check: int, t_check: int) -> BlockProfi
 
 def infer_block(g: ExponentSequence) -> tuple[int, int]:
     """Infer (r, t): t = gcd of the support indices, r = gcd of the values."""
-    support = [n for n in range(1, g.upto + 1) if g.at(n) != 0]
-    if not support:
+    if not any(g.g):
         raise ZeroSequence("cannot infer a block from the zero sequence")
-    t = math.gcd(*support)
-    r = math.gcd(*(abs(g.at(n)) for n in support))
-    return r, t
+    return math.gcd(*g.g), _stride((0, *g.g))
 
 
 def _combined_exponents(blocks, length: int) -> list:

@@ -106,6 +106,33 @@ def reject_nonminimal_by_factoring(c4: int, disc: int) -> None:
             )
 
 
+def substitute(quint, u, r, s, t) -> tuple:
+    """The coefficients a_i' of the model reached by x = u^2 x' + r,
+    y = u^3 y' + s u^2 x' + t, as Fractions (Silverman, AEC, Table 3.1)."""
+    a1, a2, a3, a4, a6 = quint
+    u = Fraction(u)
+    return (
+        (a1 + 2 * s) / u,
+        (a2 - s * a1 + 3 * r - s * s) / u ** 2,
+        (a3 + r * a1 + 2 * t) / u ** 3,
+        (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u ** 4,
+        (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1) / u ** 6,
+    )
+
+
+def nonminimal_by_substitution(quint, p: int) -> bool:
+    """Whether some substitution with u = p makes every a_i' integral.
+    Following it by an integral one (1, r0, s0, t0) moves s by p s0, r by
+    p^2 r0 and t by p^3 t0 + s p^2 r0, so s mod p, r mod p^2 and t mod p^3
+    reach every substitution with u = p."""
+    return any(
+        all(a.denominator == 1 for a in substitute(quint, p, r, s, t))
+        for s in range(p)
+        for r in range(p * p)
+        for t in range(p ** 3)
+    )
+
+
 def logder_coefficients_dense(u: PowerSeries) -> list:
     """c_1..c_{T-1} of q u'/u = -sum c_m q^m for u = 1 + O(q), by the recurrence
     n u_n = -sum_{k=1}^{n} c_k u_{n-k} over every index; index 0 is an unused 0."""

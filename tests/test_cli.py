@@ -80,6 +80,12 @@ class TestAn:
         assert code == EXIT_USAGE and text == ""
         assert "trial-division bound 1000000" in capsys.readouterr().err
 
+    def test_model_not_minimal_at_2_exit_2(self, capsys):
+        # 37a rescaled by u = 2, which used to print f_2 = 0 with exit 0
+        code, text = run("an", "--curve", "0,0,8,-16,0")
+        assert code == EXIT_USAGE and text == ""
+        assert "not minimal at p=2 " in capsys.readouterr().err
+
     def test_out_of_memory_exit_2(self, monkeypatch, capsys):
         # an --order too large for memory is a usage error, not a traceback;
         # the expansion is replaced, so nothing large is allocated

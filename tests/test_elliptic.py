@@ -29,8 +29,10 @@ from oracles import (
     count_points_legendre,
     count_points_naive,
     legendre,
+    nonminimal_by_substitution,
     primes_upto,
     reject_nonminimal_by_factoring,
+    substitute,
 )
 
 ALL_CURVES = [c for rec in builtin_table1() for c in rec.curves]
@@ -137,12 +139,43 @@ class TestMinimality:
         assert math.gcd(c.c4 ** 3, c.c6 ** 2) == 27648
 
     @pytest.mark.parametrize(
-        "quint", [(0, 0, 0, 0, 2 ** 200), (0, 0, 0, 2 ** 140, 0), (0, 0, 0, 0, 3 ** 150)]
+        "quint, p",
+        [((0, 0, 0, 0, 2 ** 200), 2), ((0, 0, 0, 2 ** 140, 0), 2), ((0, 0, 0, 0, 3 ** 150), 3)],
     )
-    def test_large_2_or_3_part_accepted(self, quint):
-        # the 2s and 3s of gcd(c4^3, c6^2) are divided out before any
-        # trial division, so their size costs nothing
-        curve_from_quintuple(quint)
+    def test_large_2_or_3_part_refused_at_2_or_3(self, quint, p, monkeypatch):
+        # none of these models is minimal at p, and it is refused before any
+        # trial division, so the size of its 2- or 3-part costs nothing
+        def unreachable(c4, c6):
+            raise AssertionError("trial division reached")
+
+        monkeypatch.setattr(elliptic, "_reject_nonminimal", unreachable)
+        with pytest.raises(SingularCurve, match=f"not minimal at p={p} "):
+            curve_from_quintuple(quint)
+
+    def test_2_and_3_agree_with_substitution_search(self, monkeypatch):
+        # Kraus's rule against a search for an integral model at u = p, on
+        # random models moved by (r, s, t) and rescaled by u in {1, 2, 3, 6}
+        rule = elliptic._reject_nonminimal_at_2_and_3
+        monkeypatch.setattr(elliptic, "_reject_nonminimal_at_2_and_3", lambda c4, c6: None)
+        monkeypatch.setattr(elliptic, "_reject_nonminimal", lambda c4, c6: None)
+        rng = random.Random(1989)
+        seen = {2: 0, 3: 0, None: 0}
+        while sum(seen.values()) < 300:
+            r, s, t, *quint = (rng.randint(-9, 9) for _ in range(8))
+            moved = [int(a) for a in substitute(quint, 1, r, s, t)]
+            quint = _rescaled(moved, rng.choice((1, 1, 2, 3, 6)))
+            try:
+                c = curve_from_quintuple(quint)
+            except SingularCurve:
+                continue
+            p = next((p for p in (2, 3) if nonminimal_by_substitution(quint, p)), None)
+            if p is None:
+                rule(c.c4, c.c6)
+            else:
+                with pytest.raises(SingularCurve, match=f"not minimal at p={p} "):
+                    rule(c.c4, c.c6)
+            seen[p] += 1
+        assert min(seen.values()) >= 50, seen
 
     def test_large_5_part_rejected_at_5(self):
         with pytest.raises(SingularCurve, match="not minimal at p=5 "):
@@ -205,7 +238,7 @@ class TestCounting:
             assert count_points(c, p) == count_points_legendre(c, p), p
 
     def test_equals_naive_on_wide_coefficients(self):
-        # |a4|, |a6| ~ 10^12 exercise the mod-p reduction of the differences
+        # |a4|, |a6| ~ 10^12 exercise the mod-p reduction of the wide cubic
         for c in _wide_curves(40):
             for p in primes_upto(59):
                 assert count_points(c, p) == count_points_naive(c, p), (c, p)

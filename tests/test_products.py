@@ -127,6 +127,9 @@ class TestKnownBlocks:
         assert infer_block(g) == (4, 6)
         g = extract_exponents(f37(14))
         assert infer_block(g) == (2, 1)
+        # signs and a zero on the grid: r = gcd(6, 9, 12), t = gcd(6, 9, 15)
+        g = ExponentSequence((0, 0, 0, 0, 0, -6, 0, 0, 9, 0, 0, 0, 0, 0, -12, 0))
+        assert infer_block(g) == (3, 3)
 
     def test_monotone_report_row_101(self):
         rec = record_for(101)
