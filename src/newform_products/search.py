@@ -5,9 +5,12 @@ constraints (leading exponent 1 and total weight 2):
 
     sum r_i t_i / (rc_i tc_i) = 1        sum r_i / rc_i = 1
 
-where (rc, tc) are the block's own shape parameters; enumeration tests them
-in integers scaled by the lcm of the blocks' rc * tc.  All "no match"
-outcomes are bounded-search facts, never nonexistence claims.
+where (rc, tc) are the block's own shape parameters.  Scaled by the lcm L
+of the blocks' rc * tc, each part's two terms are integers.  Once s - 1
+parts are chosen, the first constraint fixes the last part's exponent term,
+so enumeration looks the last part up by that term and tests only the
+multisets it proposes.  All "no match" outcomes are bounded-search facts,
+never nonexistence claims.
 
 A candidate that meets them is q * prod (1 - q^m)^(G_m), so it is matched in
 exponent space: `assemble` sums the parts' exponents into G with no series
@@ -83,7 +86,14 @@ def enumerate_candidates(
 ) -> list[SearchCandidate]:
     """All s-part candidates with 0 < |r| <= r_bound, 1 <= t <= t_bound that
     satisfy both constraints exactly; canonical order, reordering-duplicates
-    removed."""
+    removed.
+
+    The atoms are indexed once by their scaled exponent term e.  Each
+    (s-1)-multiset head, in combinations_with_replacement index order, takes
+    as its last part every atom with e = scale - (the head's e sum) and an
+    index no lower than the head's last, so each multiset comes up once;
+    _constraints_hold then tests it, which decides the weight constraint.
+    """
     if s not in (1, 2, 3):
         raise ValueError("part count s must be 1, 2, or 3")
     if r_bound < 0 or t_bound < 1:
@@ -97,11 +107,19 @@ def enumerate_candidates(
         for r in range(-r_bound, r_bound + 1)
         if r != 0
     ]
-    out = [
-        SearchCandidate(parts=tuple(sorted(atom[2] for atom in combo)))
-        for combo in combinations_with_replacement(atoms, s)
-        if _constraints_hold(combo, scale)
-    ]
+    by_e: dict[int, list[int]] = {}
+    for i, (e, _, _) in enumerate(atoms):
+        by_e.setdefault(e, []).append(i)
+    out = []
+    for head in combinations_with_replacement(range(len(atoms)), s - 1):
+        first = head[-1] if head else 0
+        need = scale - sum(atoms[i][0] for i in head)
+        for last in by_e.get(need, ()):
+            if last < first:
+                continue
+            combo = [atoms[i] for i in (*head, last)]
+            if _constraints_hold(combo, scale):
+                out.append(SearchCandidate(parts=tuple(sorted(atom[2] for atom in combo))))
     out.sort(key=lambda c: c.parts)
     return out
 

@@ -415,6 +415,13 @@ class TestSearch:
         assert code == EXIT_USAGE and text == ""
         assert "an_expansion needs order >= 2" in capsys.readouterr().err
 
+    def test_target_order_2_exit_2(self, capsys):
+        # the target expands at order 2 but has no g_1, so nothing is compared
+        code, text = run("search", "--blocks", "37,43", "--s", "2", "--max-r", "2",
+                         "--max-t", "2", "--order", "2", "--target", "0,0,1,-1,0")
+        assert code == EXIT_USAGE and text == ""
+        assert "search --target needs --order >= 3" in capsys.readouterr().err
+
 
 class TestCsv:
     @pytest.mark.parametrize(

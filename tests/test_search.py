@@ -268,6 +268,14 @@ DIFFERENTIAL_SETS = [
 ]
 DIFFERENTIAL_ORDERS = [2, 3, 15, 40, 80]
 
+# enumeration alone also runs at the bench search size, and on three blocks
+# whose r_check * t_check (24, 2 and 4) all exceed 1; the assemble
+# differential leaves them out, since its oracle expands series
+ENUMERATION_SETS = DIFFERENTIAL_SETS + [
+    ((37, 43), 4, 6),
+    ((36, 88, 256), 2, 4),
+]
+
 
 @pytest.fixture(scope="module")
 def extended_table():
@@ -290,7 +298,7 @@ def _same_outcome(cand, blocks, order):
 
 class TestOracleDifferential:
     @pytest.mark.parametrize("s", [1, 2, 3])
-    @pytest.mark.parametrize("conductors,r_bound,t_bound", DIFFERENTIAL_SETS)
+    @pytest.mark.parametrize("conductors,r_bound,t_bound", ENUMERATION_SETS)
     def test_enumeration_equals_oracle(self, conductors, r_bound, t_bound, s):
         blocks = [record_for(n) for n in conductors]
         want = oracle_enumerate(blocks, s, r_bound, t_bound)
@@ -441,9 +449,16 @@ class TestExponentMatching:
 
 
 class TestSearchInvariants:
-    """What bench/selftest.py pins of the bench search, checked here too."""
+    """The work the bench search does, pinned as exact counts.
 
-    def test_smoke_size_counts(self, monkeypatch):
+    combos counts the calls of _constraints_hold, one per atom multiset that
+    enumeration tests: every (s-1)-multiset head paired with each atom whose
+    exponent term completes the leading-exponent constraint and whose index
+    is no lower than the head's last.  Testing every s-multiset of atoms
+    instead would make 816 calls at the smoke size and 152,096 at the full.
+    """
+
+    def _run(self, monkeypatch, size):
         counts = {"combos": 0, "assemble": 0}
 
         def counted(key, fn):
@@ -456,10 +471,16 @@ class TestSearchInvariants:
                             counted("combos", search._constraints_hold))
         monkeypatch.setattr(cli, "assemble", counted("assemble", cli.assemble))
         out = io.StringIO()
-        assert main(list(_bench_workloads().search_argv(37, "smoke")), out=out) == 0
+        assert main(list(_bench_workloads().search_argv(37, size)), out=out) == 0
         candidates = json.loads(out.getvalue())["results"]["candidates"]
-        assert counts["combos"] == 816
         assert counts["assemble"] == len(candidates) > 0
+        return counts["combos"], len(candidates)
+
+    def test_smoke_size_counts(self, monkeypatch):
+        assert self._run(monkeypatch, "smoke") == (63, 23)
+
+    def test_full_size_counts(self, monkeypatch):
+        assert self._run(monkeypatch, "full") == (2_791, 465)
 
     def test_full_size_expands_little(self, monkeypatch):
         # the coefficient route expands each of the 465 candidates to about
