@@ -192,7 +192,8 @@ def cmd_exponents(args) -> dict:
         r, t = infer_block(g)
         profile = block_profile(g, r, t)
         results["inferred"] = {"r_check": r, "t_check": t}
-        results["a"] = [str(v) for v in profile.a]
+        # a_n = g_{tn} / r, so at r = 1 the decimal g_n serve again
+        results["a"] = g_str[t - 1 :: t] if r == 1 else [str(v) for v in profile.a]
         results["gcd_prefix"] = profile.gcd_prefix
         results["violations"] = list(profile.monotone_report)
         lines.append(f"inferred (r, t) = ({r}, {t})")

@@ -16,7 +16,10 @@ first compressed by the common stride t of their supports, so a(q^t) b(q^t)
 costs a product of length T/t.  Each coefficient list is packed into one
 int, in slots wide enough that no coefficient of the product overflows its
 slot; CPython multiplies the two ints in C (Karatsuba), and the product's
-slots are read back from its bytes.  The inverse runs Newton's iteration
+slots are read back from its bytes.  Slots of up to 8 bytes are widened to
+1, 2, 4 or 8 bytes, so that one `struct` call packs or unpacks a whole
+sequence; the log-derivative kernel in `products` takes this packed
+product for its narrow cross-products.  The inverse runs Newton's iteration
 h <- h (2 - a h), doubling the known length each step, on the same packed
 product (von zur Gathen and Gerhard, "Modern Computer Algebra", section
 9.1).
@@ -25,6 +28,7 @@ product (von zur Gathen and Gerhard, "Modern Computer Algebra", section
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, islice
@@ -150,22 +154,33 @@ def _spread(c, t: int, order: int):
     return out
 
 
+def _slot_bits(a, b) -> int:
+    """Bits that bound every coefficient of a(q) b(q): max|a| * max|b| * min(len a, len b)."""
+    return (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+    )
+
+
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def _packed_product(a, b, n: int) -> list:
     """The first n coefficients of a(q) b(q), for integer sequences a and b.
 
     Kronecker substitution: with slots of w bytes, where 2^(8w-1) exceeds
     max|a| * max|b| * min(len a, len b) and so every product coefficient,
     each sequence becomes the one int sum a_i 2^(8wi), and the two ints are
-    multiplied once.  Adding 2^(8w-1) to every slot of the product makes
-    each slot a nonnegative byte string, read back from `to_bytes`.
+    multiplied once.  Adding 2^(8w-1) to every slot makes each slot
+    nonnegative.  A slot of at most 8 bytes is widened to 1, 2, 4 or 8
+    bytes, so that `struct` packs and unpacks all slots in one call; a
+    wider one goes through `to_bytes`/`from_bytes` slot by slot.
     """
     a, b = a[:n], b[:n]
-    bits = (
-        max(map(abs, a)).bit_length()
-        + max(map(abs, b)).bit_length()
-        + min(len(a), len(b)).bit_length()
-    )
-    w = bits // 8 + 1
+    w = _slot_bits(a, b) // 8 + 1
+    if w <= 8:
+        w = 1 << (w - 1).bit_length()
     half = 1 << (8 * w - 1)
     slot = bytes(w - 1) + b"\x80"  # half, little-endian
     x = _pack(a, w, half, slot)
@@ -173,13 +188,19 @@ def _packed_product(a, b, n: int) -> list:
     m = min(n, len(a) + len(b) - 1)
     packed = (x * y + int.from_bytes(slot * m, "little")) & ((1 << (8 * w * m)) - 1)
     raw = packed.to_bytes(w * m, "little")
-    out = [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * m, w)]
+    if w in _SLOT_FORMATS:
+        out = [v - half for v in struct.unpack(f"<{m}{_SLOT_FORMATS[w]}", raw)]
+    else:
+        out = [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * m, w)]
     return out + [0] * (n - m)
 
 
 def _pack(c, w: int, half: int, slot: bytes) -> int:
     """sum c_i 2^(8wi) for |c_i| < half = 2^(8w-1), via one offset byte string."""
-    raw = b"".join([(v + half).to_bytes(w, "little") for v in c])
+    if w in _SLOT_FORMATS:
+        raw = struct.pack(f"<{len(c)}{_SLOT_FORMATS[w]}", *[v + half for v in c])
+    else:
+        raw = b"".join([(v + half).to_bytes(w, "little") for v in c])
     return int.from_bytes(raw, "little") - int.from_bytes(slot * len(c), "little")
 
 

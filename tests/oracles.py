@@ -143,6 +143,18 @@ def logder_coefficients_dense(u: PowerSeries) -> list:
     return c
 
 
+def unit_from_logder_dense(c: list) -> list:
+    """u_0 = 1 and n u_n = -sum_{k=1}^{n} c_k u_{n-k} solved for u_n, 1 <= n < len(c), by one
+    dot product per term over every index; InternalIntegralityFailure at the first
+    u_n that is not an integer."""
+    u = [1] + [0] * (len(c) - 1)
+    for n in range(1, len(c)):
+        u[n], rem = divmod(-sum(map(mul, c[1 : n + 1], u[n - 1 :: -1])), n)
+        if rem:
+            raise InternalIntegralityFailure(f"product coefficient q^{n} not integral")
+    return u
+
+
 def extract_exponents_peeling(f: PowerSeries) -> ExponentSequence:
     """The g_n of f = q * prod (1 - q^m)^{g_m}, by successively dividing f/q
     by (1 - q^m)^{g_m}."""

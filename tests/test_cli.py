@@ -15,7 +15,7 @@ from newform_products import cli, theta
 from newform_products.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from newform_products.errors import TableMismatch
 from newform_products.products import ExponentSequence
-from newform_products.registry import builtin_table1, save_registry
+from newform_products.registry import builtin_table1, record_for, save_registry
 from newform_products.theta import MonomialArg, theta_sum
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -103,6 +103,17 @@ class TestExponents:
         code, text = run("exponents", "--curve", "0,0,0,0,1", "--order", "26")
         assert code == EXIT_OK
         assert "inferred (r, t) = (4, 6)" in text
+
+    @pytest.mark.parametrize("conductor", [37, 61, 88])  # (r, t) = (2, 1), (1, 1), (1, 2)
+    def test_a_is_the_printed_block(self, conductor):
+        rec = record_for(conductor)
+        curve = ",".join(map(str, rec.curves[0]))
+        code, text = run("exponents", "--curve", curve, "--order", "40", "--format", "json")
+        assert code == EXIT_OK
+        results = json.loads(text)["results"]
+        assert results["inferred"] == {"r_check": rec.r_check, "t_check": rec.t_check}
+        assert results["a"][:12] == [str(v) for v in rec.a_printed]
+        assert len(results["a"]) == len(results["g"]) // rec.t_check
 
     def test_violations_reported_not_fatal(self):
         # conductor 101: a_1 = 0 and an early plateau

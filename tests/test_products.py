@@ -6,10 +6,16 @@ import pytest
 
 from newform_products import products
 from newform_products.elliptic import an_expansion, curve_from_quintuple
-from newform_products.errors import NonMonicSeries, PrecisionExceeded
+from newform_products.errors import (
+    InternalIntegralityFailure,
+    NonMonicSeries,
+    PrecisionExceeded,
+)
 from newform_products.products import (
     ExponentSequence,
+    _divisor_sums,
     _logder_coefficients,
+    _monic_unit_part,
     block_profile,
     extract_exponents,
     infer_block,
@@ -19,13 +25,14 @@ from newform_products.products import (
 )
 from newform_products.qseries import PowerSeries
 from newform_products.registry import builtin_table1, record_for
-from newform_products.theta import ETA256_CURVE
+from newform_products.theta import ETA256_CURVE, MonomialArg, theta_sum
 
 from oracles import (
     binomial,
     extract_exponents_peeling,
     logder_coefficients_dense,
     q_d_dq,
+    unit_from_logder_dense,
 )
 
 
@@ -239,3 +246,83 @@ class TestStridedKernel:
         g = extract_exponents(f)
         assert calls <= 102 ** 2 // 2
         assert infer_block(g) == (1, 4)
+
+
+def _against_dense_loops(g: ExponentSequence, order: int):
+    """Both directions of the kernel against the dense loops: the product of
+    g from its divisor sums c, and the log-derivative of that product back to c."""
+    c = _divisor_sums([0, *g.g[: order - 1]])
+    u = unit_product(g, order)
+    assert list(u.coeffs) == unit_from_logder_dense(c)
+    assert _logder_coefficients(u) == logder_coefficients_dense(u) == c
+
+
+def phi_exponents(order: int) -> ExponentSequence:
+    """phi(q) = prod (1 - q^(2n)) (1 + q^(2n-1))^2: g_n = -2 for odd n, 3 for
+    n = 2 mod 4 and 1 for n = 0 mod 4."""
+    return ExponentSequence(tuple((-2, 3, -2, 1)[(n - 1) % 4] for n in range(1, order)))
+
+
+class TestRecurrenceKernel:
+    """The divide-and-conquer kernel against the dense dot-product loops across
+    its block boundaries, on both cross-product paths: packed for narrow terms,
+    one dot product per target for wide ones."""
+
+    ORDERS = [*range(1, 3 * products._BLOCK + 3), 800]
+
+    def test_phi_exponents_give_phi(self):
+        assert unit_product(phi_exponents(60), 60) == theta_sum(
+            MonomialArg(1, 1), MonomialArg(1, 1), 60
+        ).series
+
+    def test_euler_and_theta_exponents(self):
+        for order in self.ORDERS:
+            _against_dense_loops(ExponentSequence((1,) * (order - 1)), order)
+            _against_dense_loops(phi_exponents(order), order)
+
+    def test_random_small_exponents(self):
+        rng = random.Random(51)
+        for order in self.ORDERS:
+            g = ExponentSequence(tuple(rng.randint(-3, 3) for _ in range(order - 1)))
+            _against_dense_loops(g, order)
+
+    @pytest.mark.parametrize("t", [2, 3, 5])
+    def test_exponents_on_a_grid(self, t):
+        rng = random.Random(52 + t)
+        for order in [*range(1, 3 * products._BLOCK * t + 3, t + 1), 800]:
+            g = ExponentSequence(
+                tuple(rng.randint(-3, 3) if n % t == 0 else 0 for n in range(1, order))
+            )
+            _against_dense_loops(g, order)
+
+    def test_wide_terms_of_37a(self):
+        # c reaches about 450 bits by order 300, so the later cross-products
+        # of both directions take the dot-product path
+        f = f37(300)
+        u = _monic_unit_part(f)
+        assert _logder_coefficients(u) == logder_coefficients_dense(u)
+        _against_dense_loops(extract_exponents(f), 299)
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_integrality_failure_at_the_same_power(self, t, monkeypatch):
+        # c off by t at q^(70t) (still on the t-grid) makes u_(70t) a
+        # non-integer, past the first cross-products; no earlier u_n changes
+        order = 90 * t + 1
+        g = ExponentSequence(tuple(int(n % t == 0) for n in range(1, order)))
+        c = _divisor_sums([0, *g.g])
+        c[70 * t] += t
+        monkeypatch.setattr(products, "_divisor_sums", lambda lam: list(c))
+        with pytest.raises(InternalIntegralityFailure) as kernel:
+            unit_product(g, order)
+        with pytest.raises(InternalIntegralityFailure) as dense:
+            unit_from_logder_dense(c)
+        assert str(kernel.value) == str(dense.value)
+        assert str(dense.value) == f"product coefficient q^{70 * t} not integral"
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_order_below_1_is_refused(self, order):
+        g = ExponentSequence((1, 2, 3))
+        with pytest.raises(ValueError):
+            unit_product(g, order)
+        with pytest.raises(ValueError):
+            reconstruct(g, order)
