@@ -20,14 +20,13 @@ from .products import (
     log_derivative_quotient,
     reconstruct,
 )
-from .qseries import FracSeries, PowerSeries
+from .qseries import PowerSeries
 
 __all__ = [
     "BlockProfile",
     "Curve",
     "EtaQuotient",
     "ExponentSequence",
-    "FracSeries",
     "PowerSeries",
     "ReductionInfo",
     "an_expansion",

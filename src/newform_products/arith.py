@@ -3,7 +3,7 @@ sieve, divisors.
 
 Everything here is pure and exact.  `factor` trial-divides, so its inputs
 stay small (see its size note); `is_prime` is a Miller-Rabin test that is
-deterministic below 3.3 * 10^24 and factors only above that.
+deterministic below 3.3 * 10^24 and refuses larger n.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ _MR_BOUNDS = (
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin below 3.3 * 10^24, with the base set chosen by
-    the size of n; trial division (`factor`) above that."""
+    the size of n; ValueError above that, where no base set is proven."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -83,8 +83,7 @@ def is_prime(n: int) -> bool:
         if n < n_max:
             break
     else:
-        f = factor(n).factors
-        return len(f) == 1 and f[0][1] == 1
+        raise ValueError(f"is_prime() is deterministic only below {_MR_BOUNDS[-1][0]}, got {n}")
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d, d odd
     d = (n - 1) >> s
     for a in _MR_BASES[:k]:

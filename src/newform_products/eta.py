@@ -4,8 +4,8 @@ Euler's product prod (1 - q^n) is the theta_sum specialization f(-q, -q^2).
 An eta quotient prod_t eta(q^t)^(r_t) is q^(sum t r_t / 24) times
 prod_n (1 - q^n)^(g_n), with g_n = sum_{t | n} r_t: eta(q^t) is q^(t/24)
 times the block whose a_n are all 1, so `EtaQuotient.exponents` combines
-those blocks, one unit_product call expands the result, and the rational
-prefactor is attached to it.
+those blocks, and one unit_product call expands the result.  A series with
+a rational prefactor is the pair (prefactor, PowerSeries in q).
 
 The E2 identity is checked in integers: the log-derivative kernel's c_m
 on the Euler product must equal sigma_1(m).
@@ -23,7 +23,7 @@ from .products import (
     _logder_coefficients,
     unit_product,
 )
-from .qseries import FracSeries, PowerSeries
+from .qseries import PowerSeries
 from .theta import MonomialArg, theta_sum
 
 
@@ -62,23 +62,23 @@ class EtaQuotient:
 def euler_product(order: int) -> PowerSeries:
     """prod_{n>=1} (1 - q^n) truncated: Ramanujan's theta f(-q, -q^2), whose
     terms are Euler's pentagonal numbers."""
-    return theta_sum(MonomialArg(-1, 1), MonomialArg(-1, 2), order).series
+    return theta_sum(MonomialArg(-1, 1), MonomialArg(-1, 2), order)
 
 
-def eta_signed(t: int, sign: int, order: int) -> FracSeries:
-    """eta(sign * q^t) = q^(t/24) * prod (1 - sign^n q^(t n)).
+def eta_signed(t: int, sign: int, order: int) -> tuple[Fraction, PowerSeries]:
+    """eta(sign * q^t) = q^(t/24) * prod (1 - sign^n q^(t n)), as the pair
+    (t/24, product); the product is known to order t * order.
 
     The 24th-root-of-unity ambiguity of (-q^t)^(1/24) is resolved by keeping
     the positive-branch prefactor; the theta-identity checks pin this choice.
     """
-    return FracSeries.make(24, t, euler_product(order).subst_monomial(sign, 24 * t))
+    return Fraction(t, 24), euler_product(order).subst_monomial(sign, t)
 
 
-def eta_quotient_series(eq: EtaQuotient, order: int) -> FracSeries:
-    """Expand the quotient with inner products carried to the given q-order."""
-    inner = unit_product(ExponentSequence(tuple(eq.exponents(order)[1:])), order)
-    e = eq.leading_exponent
-    return FracSeries.make(e.denominator, e.numerator, inner.subst_monomial(1, e.denominator))
+def eta_quotient_series(eq: EtaQuotient, order: int) -> tuple[Fraction, PowerSeries]:
+    """The pair (leading exponent, prod_n (1 - q^n)^(g_n) to the given q-order)."""
+    g = ExponentSequence(tuple(eq.exponents(order)[1:]))
+    return eq.leading_exponent, unit_product(g, order)
 
 
 def verify_e2_identity(order: int) -> bool:

@@ -213,15 +213,14 @@ def block_profile(g: ExponentSequence, r_check: int, t_check: int) -> BlockProfi
     """
     if r_check < 1 or t_check < 1:
         raise ValueError("r_check and t_check must be positive")
-    for m in range(1, g.upto + 1):
-        if m % t_check != 0 and g.at(m) != 0:
-            raise BlockMismatch(f"g_{m} = {g.at(m)} nonzero off the t={t_check} grid")
-    a = []
-    for n in range(1, g.upto // t_check + 1):
-        v = g.at(t_check * n)
+    for m, v in enumerate(g.g, start=1):
+        if v != 0 and m % t_check != 0:
+            raise BlockMismatch(f"g_{m} = {v} nonzero off the t={t_check} grid")
+    on_grid = g.g[t_check - 1 :: t_check]
+    for n, v in enumerate(on_grid, start=1):
         if v % r_check != 0:
             raise BlockMismatch(f"g_{t_check * n} = {v} not divisible by r={r_check}")
-        a.append(v // r_check)
+    a = [v // r_check for v in on_grid]
     violations = []
     for i, v in enumerate(a, start=1):
         if v <= 0 or (i >= 2 and v <= a[i - 2]):

@@ -1,13 +1,12 @@
-"""Exact truncated power series and fractional-exponent series.
+"""Exact truncated power series.
 
 A PowerSeries of order T knows the coefficients of q^0 .. q^(T-1) exactly,
 as Python ints.  Every binary operation truncates to the minimum of the
 input orders; no operation ever fabricates coefficients beyond what the
 inputs justify.  Inversion needs constant term +1 or -1.
 
-A FracSeries represents q^(offset/denom) * S(q^(1/denom)).  It is kept in a
-normal form (leading coefficient of S nonzero, gcd of denom/offset/support
-stride reduced out) so that equal values have equal representations.
+A fractional exponent appears only as an eta prefactor: q^e * S(q) is the
+pair (e, S), with e a Fraction, and `frac_mul` multiplies two such pairs.
 
 Every series product is one product of two Python ints (Kronecker
 substitution; Harvey, "Faster polynomial multiplication via multipoint
@@ -30,8 +29,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import compress, count, islice
+from itertools import compress, islice
 
 from .errors import NonUnitConstantTerm
 
@@ -47,10 +45,6 @@ class PowerSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs)
-
-    @staticmethod
-    def zero(order: int) -> "PowerSeries":
-        return PowerSeries((0,) * order)
 
     @staticmethod
     def one(order: int) -> "PowerSeries":
@@ -204,63 +198,6 @@ def _pack(c, w: int, half: int, slot: bytes) -> int:
     return int.from_bytes(raw, "little") - int.from_bytes(slot * len(c), "little")
 
 
-@dataclass(frozen=True)
-class FracSeries:
-    """q^(offset/denom) * series(q^(1/denom)), normalized (see module docstring)."""
-
-    denom: int
-    offset: int
-    series: PowerSeries
-
-    @staticmethod
-    def make(denom: int, offset: int, series: PowerSeries) -> "FracSeries":
-        if denom < 1:
-            raise ValueError("denom must be >= 1")
-        return _normalize(denom, offset, series)
-
-    def exponent_bound(self) -> Fraction:
-        """Exponents are known (exactly) strictly below this bound."""
-        return Fraction(self.offset + self.series.order, self.denom)
-
-    def support(self) -> list[tuple[Fraction, object]]:
-        return [
-            (Fraction(self.offset + k, self.denom), c) for k, c in self.series.nonzero_items()
-        ]
-
-    def __str__(self):
-        parts = [f"{c}*q^({e})" for e, c in self.support()[:8]]
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(q^({self.exponent_bound()}))"
-
-
-def _normalize(denom: int, offset: int, series: PowerSeries) -> FracSeries:
-    c = series.coeffs
-    lead = next(compress(count(), c), None)
-    if lead is None:
-        # canonical zero: integer grid, offset 0, order preserved conservatively
-        return FracSeries(1, 0, PowerSeries.zero(max(1, series.order // denom)))
-    if lead:
-        offset += lead
-        c = c[lead:]
-        series = PowerSeries(c)
-    g = math.gcd(denom, offset, *compress(range(len(c)), c))
-    if g > 1:
-        order = max(1, len(c) // g)
-        return FracSeries(denom // g, offset // g, PowerSeries(c[: order * g : g]))
-    return FracSeries(denom, offset, series)
-
-
-def _regrid(a: FracSeries, denom: int) -> FracSeries:
-    s = denom // a.denom
-    if s == 1:
-        return a
-    out = [0] * (a.series.order * s)
-    out[::s] = a.series.coeffs
-    # bypass normalization: this is an internal non-canonical widening
-    return FracSeries(denom, a.offset * s, PowerSeries(tuple(out)))
-
-
-def frac_mul(a: FracSeries, b: FracSeries) -> FracSeries:
-    d = math.lcm(a.denom, b.denom)
-    ga, gb = _regrid(a, d), _regrid(b, d)
-    return _normalize(d, ga.offset + gb.offset, ga.series * gb.series)
+def frac_mul(a: tuple, b: tuple) -> tuple:
+    """(e1 + e2, S1 S2): the product of q^e1 S1(q) and q^e2 S2(q)."""
+    return a[0] + b[0], a[1] * b[1]

@@ -16,8 +16,10 @@ series squaring gives its square.  Series powers remain only for that
 square and the powers of phi(q^2) and psi(-q^2) in identity 1, which are
 both theta_sum specializations, as is Euler's product f(-q, -q^2).
 
-Each identity check compares integer lists on the grid its two sides
-share: q^(1/d) for the triple product, and the integer grid for the eta256
+theta_sum and theta_product return integer lists on the q^(1/D) grid of
+their arguments, D = lcm(a.den, b.den), which both take from `_grid`.  Each
+identity check compares integer lists on the grid its two sides share:
+q^(1/D) for the triple product, and the integer grid for the eta256
 identities once their prefactor q^(1/2) is divided out.
 """
 
@@ -31,7 +33,7 @@ from itertools import count
 from .elliptic import an_expansion, curve_from_quintuple
 from .errors import BlockMismatch
 from .products import ExponentSequence, unit_product
-from .qseries import FracSeries, PowerSeries, _regrid
+from .qseries import PowerSeries
 
 ETA256_CURVE = (0, 0, 0, -2, 0)
 ETA256_CURVE_ISOGENOUS = (0, 0, 0, 8, 0)
@@ -39,7 +41,7 @@ ETA256_CURVE_ISOGENOUS = (0, 0, 0, 8, 0)
 
 @dataclass(frozen=True)
 class MonomialArg:
-    """sign * q^(num/den) with num/den > 0 in lowest terms."""
+    """sign * q^(num/den) with num/den > 0."""
 
     sign: int
     num: int
@@ -56,40 +58,45 @@ class MonomialArg:
         return Fraction(self.num, self.den)
 
 
-def theta_sum(a: MonomialArg, b: MonomialArg, order: int) -> FracSeries:
-    """Bilateral sum over n on the q^(1/D) grid, D = lcm(a.den, b.den): term n
-    sits at index A T_n + B T_(n-1), A = a.num D / a.den and B likewise, and
-    term -k is term k with a and b exchanged.  Indices grow with |n|, so each
-    direction stops at its first index >= order D."""
+def _grid(a: MonomialArg, b: MonomialArg) -> tuple[int, int, int]:
+    """(D, A, B): the grid q^(1/D), D = lcm(a.den, b.den), on which a and b
+    are q^(A/D) and q^(B/D) up to sign."""
     denom = math.lcm(a.den, b.den)
+    return denom, a.num * denom // a.den, b.num * denom // b.den
+
+
+def theta_sum(a: MonomialArg, b: MonomialArg, order: int) -> PowerSeries:
+    """Bilateral sum over n on the q^(1/D) grid of `_grid`, to order D * order:
+    term n sits at index A T_n + B T_(n-1), and term -k is term k with a and b
+    exchanged.  Indices grow with |n|, so each direction stops at its first
+    index >= order D."""
+    denom, step_a, step_b = _grid(a, b)
     terms: dict[int, int] = {}
-    for x, y, first in ((a, b, 0), (b, a, 1)):
-        step_x, step_y = x.num * denom // x.den, y.num * denom // y.den
+    for x, y, step_x, step_y, first in ((a, b, step_a, step_b, 0), (b, a, step_b, step_a, 1)):
         for n in count(first):
             tri_up, tri_dn = n * (n + 1) // 2, n * (n - 1) // 2
             k = step_x * tri_up + step_y * tri_dn
             if k >= order * denom:
                 break
             terms[k] = terms.get(k, 0) + x.sign ** (tri_up % 2) * y.sign ** (tri_dn % 2)
-    return FracSeries.make(denom, 0, PowerSeries.from_terms(terms, order * denom))
+    return PowerSeries.from_terms(terms, order * denom)
 
 
-def theta_product(a: MonomialArg, b: MonomialArg, order: int) -> FracSeries:
-    """Triple-product side: (-a; ab)_inf (-b; ab)_inf (ab; ab)_inf.
+def theta_product(a: MonomialArg, b: MonomialArg, order: int) -> PowerSeries:
+    """Triple-product side: (-a; ab)_inf (-b; ab)_inf (ab; ab)_inf, on the
+    q^(1/D) grid of `_grid`, to order D * order.
 
-    Every factor is 1 - eps q^(k/denom) with eps = +-1, so the three
-    products become exponents on the q^(1/denom) grid, which one
-    unit_product call expands.
+    Every factor is 1 - eps q^(k/D) with eps = +-1, so the three products
+    become exponents on that grid, which one unit_product call expands.
     """
-    alpha, beta = a.exponent, b.exponent
-    denom = math.lcm(alpha.denominator, beta.denominator)
+    denom, step_a, step_b = _grid(a, b)
     ab_sign = a.sign * b.sign
-    step = int((alpha + beta) * denom)
+    step = step_a + step_b
     g = [0] * (order * denom)
-    _add_signed_factors(g, int(alpha * denom), step, -a.sign, ab_sign, 1)
-    _add_signed_factors(g, int(beta * denom), step, -b.sign, ab_sign, 1)
+    _add_signed_factors(g, step_a, step, -a.sign, ab_sign, 1)
+    _add_signed_factors(g, step_b, step, -b.sign, ab_sign, 1)
     _add_signed_factors(g, step, step, ab_sign, ab_sign, 1)
-    return FracSeries.make(denom, 0, _expand(g))
+    return _expand(g)
 
 
 def _add_signed_factors(g: list, first: int, step: int, sign: int, ratio: int, r: int) -> None:
@@ -193,10 +200,9 @@ def verify_eta256_identities(order: int) -> tuple[bool, bool, tuple]:
         raise ValueError("identity check needs order >= 4")
     lhs = _eta256_squared(order)
 
-    # phi(q^2) = theta(q^2, q^2) and psi(-q^2) = theta(-q^2, -q^6) lie on the integer
-    # grid with constant term 1, so their normal form is the summed series itself
-    phi_q2 = theta_sum(MonomialArg(1, 2), MonomialArg(1, 2), order).series
-    psi_m = theta_sum(MonomialArg(-1, 2), MonomialArg(-1, 6), order).series
+    # phi(q^2) = theta(q^2, q^2) and psi(-q^2) = theta(-q^2, -q^6) lie on the integer grid
+    phi_q2 = theta_sum(MonomialArg(1, 2), MonomialArg(1, 2), order)
+    psi_m = theta_sum(MonomialArg(-1, 2), MonomialArg(-1, 6), order)
     q_psi4 = PowerSeries((0,) + psi_m.pow_int(4).coeffs[:-1])
     rhs1 = phi_q2.pow_int(2) * psi_m.pow_int(2) * (phi_q2.pow_int(4) - q_psi4.scale(8))
     at1 = _first_mismatch(lhs, rhs1)
@@ -210,20 +216,17 @@ def verify_eta256_identities(order: int) -> tuple[bool, bool, tuple]:
     q_y = PowerSeries((0,) + _expand(g_y).coeffs[:-1])
     at2 = _first_mismatch(lhs, _expand(g_x) - q_y.scale(8))
     if at2 is not None:
-        at2 += Fraction(1, 2)
+        at2 = Fraction(2 * at2 + 1, 2)
     return at1 is None, at2 is None, (at1, at2)
 
 
 def verify_triple_product(a: MonomialArg, b: MonomialArg, order: int) -> tuple[bool, Fraction | None]:
     """(ok, first mismatch or None) of theta_sum = theta_product below q^order.
-    Both start at q^0 with constant term 1, so on their common grid q^(1/d)
-    they are integer lists of length order * d."""
-    s, p = theta_sum(a, b, order), theta_product(a, b, order)
-    d = math.lcm(s.denom, p.denom)
-    at = _first_mismatch(_regrid(s, d).series, _regrid(p, d).series)
-    return at is None, None if at is None else at / d
+    Both are integer lists of length order * D on the grid q^(1/D) of `_grid`."""
+    at = _first_mismatch(theta_sum(a, b, order), theta_product(a, b, order))
+    return at is None, None if at is None else Fraction(at, _grid(a, b)[0])
 
 
-def _first_mismatch(a: PowerSeries, b: PowerSeries) -> Fraction | None:
-    """The first exponent where a and b differ, or None where they agree."""
-    return next((Fraction(n) for n, (x, y) in enumerate(zip(a.coeffs, b.coeffs)) if x != y), None)
+def _first_mismatch(a: PowerSeries, b: PowerSeries) -> int | None:
+    """The first index where a and b differ, or None where they agree."""
+    return next((n for n, (x, y) in enumerate(zip(a.coeffs, b.coeffs)) if x != y), None)

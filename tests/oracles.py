@@ -3,8 +3,11 @@
 Each one computes what a library function computes, by a slower method
 that shares none of its algorithm, except the coefficient route of search:
 it expands each candidate with the library's product kernel and compares
-coefficients, where the library compares product exponents.  The
-fractional-series operations at the end (coefficient lookup, powers and
+coefficients, where the library compares product exponents.
+
+A series with a rational prefactor is the library's pair (e, S) for
+q^e * S(q), S a PowerSeries in q; a bare PowerSeries reads as prefactor 0.
+The pair operations at the end (support, coefficient lookup, powers and
 substitution) serve only these routes.
 """
 
@@ -30,7 +33,7 @@ from newform_products.products import (
     extract_exponents,
     unit_product,
 )
-from newform_products.qseries import FracSeries, PowerSeries, _normalize, frac_mul
+from newform_products.qseries import PowerSeries, frac_mul
 from newform_products.search import (
     MATCH,
     MISMATCH,
@@ -191,10 +194,9 @@ def eta256_block(order: int) -> ExponentSequence:
 
 
 def psi(order: int) -> PowerSeries:
-    """psi(q) = theta(q, q^3), supported on the triangular numbers."""
-    s = theta_sum(MonomialArg(1, 1), MonomialArg(1, 3), order)
-    assert s.denom == 1
-    return PowerSeries.from_terms({int(e): c for e, c in s.support()}, order)
+    """psi(q) = theta(q, q^3), supported on the triangular numbers; both
+    arguments lie on the integer grid."""
+    return theta_sum(MonomialArg(1, 1), MonomialArg(1, 3), order)
 
 
 def mul_schoolbook(a: PowerSeries, b: PowerSeries) -> PowerSeries:
@@ -235,27 +237,22 @@ def inverse_by_recurrence(a: PowerSeries) -> PowerSeries:
     return PowerSeries(tuple(out))
 
 
-def frac_equal_to_by_exponents(a: FracSeries, b: FracSeries, bound):
+def frac_equal_to_by_exponents(a, b, bound):
     """(ok, first mismatch) of a and b below bound, walking the union of
-    their supports as Fraction exponents."""
+    their supports as Fraction exponents; each is a pair or a PowerSeries."""
     bound = Fraction(bound)
-    if a.exponent_bound() < bound or b.exponent_bound() < bound:
+    if exponent_bound(a) < bound or exponent_bound(b) < bound:
         raise PrecisionExceeded(
             f"comparison to exponent {bound} exceeds truncation "
-            f"({a.exponent_bound()}, {b.exponent_bound()})"
+            f"({exponent_bound(a)}, {exponent_bound(b)})"
         )
-    exps = sorted(
-        {e for e, _ in a.support() if e < bound} | {e for e, _ in b.support() if e < bound}
-    )
-    for e in exps:
-        ca = coeff_at(a, e) if (e * a.denom - a.offset).denominator == 1 else 0
-        cb = coeff_at(b, e) if (e * b.denom - b.offset).denominator == 1 else 0
-        if ca != cb:
+    for e in sorted({e for e, _ in support(a) + support(b) if e < bound}):
+        if coeff_at(a, e) != coeff_at(b, e):
             return False, e
     return True, None
 
 
-def eta_quotient_series_by_powers(eq: EtaQuotient, order: int) -> FracSeries:
+def eta_quotient_series_by_powers(eq: EtaQuotient, order: int) -> tuple:
     """The quotient as a product of powers of substituted eta series: each
     eta(q^t)^r raised by square-and-multiply (and a Newton inverse for r < 0)."""
     result = None
@@ -263,11 +260,11 @@ def eta_quotient_series_by_powers(eq: EtaQuotient, order: int) -> FracSeries:
         part = frac_pow(frac_subst_scale(eta_signed(1, 1, max(order // t + 1, 2)), t), r)
         result = part if result is None else frac_mul(result, part)
     if result is None:
-        return FracSeries.make(1, 0, PowerSeries.one(order))
+        return Fraction(0), PowerSeries.one(order)
     return result
 
 
-def assemble_series(cand, blocks, order: int) -> FracSeries:
+def assemble_series(cand, blocks, order: int) -> tuple:
     """Expand the candidate product exactly, as q * prod (1 - q^m)^(G_m).
 
     The constraints make the leading exponent 1, and the product exponents
@@ -295,10 +292,10 @@ def assemble_series(cand, blocks, order: int) -> FracSeries:
         bounds.append(t * inner_order)
     n = min(bounds)
     g = ExponentSequence(tuple(_combined_exponents(factors, n)[1:]))
-    return FracSeries.make(1, 1, unit_product(g, n))
+    return Fraction(1), unit_product(g, n)
 
 
-def match_series(cand, series: FracSeries, target: PowerSeries):
+def match_series(cand, series: tuple, target: PowerSeries):
     """Fill the candidate verdict by coefficient comparison against the target.
 
     target must be monic at q.  A nonzero coefficient at a fractional
@@ -306,8 +303,8 @@ def match_series(cand, series: FracSeries, target: PowerSeries):
     """
     if target.coeffs[0] != 0 or target.order < 2 or target.coeffs[1] != 1:
         raise ValueError("target must be monic at q")
-    overlap = min(int(series.exponent_bound()), target.order)
-    for e, c in series.support():
+    overlap = min(int(exponent_bound(series)), target.order)
+    for e, c in support(series):
         if e >= overlap:
             break
         if e.denominator != 1:
@@ -325,25 +322,38 @@ def match_series(cand, series: FracSeries, target: PowerSeries):
     return replace(cand, verdict=MATCH, match_order=overlap - 1)
 
 
-def coeff_at(series: FracSeries, exponent):
-    """The coefficient of q^exponent in series; 0 below its leading exponent."""
-    k = Fraction(exponent) * series.denom - series.offset
-    if k.denominator != 1:
-        raise ValueError(f"exponent {exponent} is off the q^(1/{series.denom}) grid")
-    if k >= series.series.order:
-        raise PrecisionExceeded(f"exponent {exponent} is beyond {series.exponent_bound()}")
-    return series.series.coeffs[int(k)] if k >= 0 else 0
+def _pair(series) -> tuple:
+    """(e, S) for a pair, (0, S) for a bare PowerSeries S."""
+    return (Fraction(0), series) if isinstance(series, PowerSeries) else series
 
 
-def frac_pow(a: FracSeries, r: int) -> FracSeries:
-    """a^r for a nonzero series; r < 0 inverts."""
-    if r == 0:
-        return FracSeries.make(1, 0, PowerSeries.one(a.series.order))
-    return _normalize(a.denom, a.offset * r, a.series.pow_int(r))
+def exponent_bound(series) -> Fraction:
+    """Exponents are known (exactly) strictly below this bound."""
+    e, s = _pair(series)
+    return e + s.order
 
 
-def frac_subst_scale(a: FracSeries, t: int) -> FracSeries:
-    """q -> q^t on a fractional series: every exponent scales by t."""
-    return _normalize(a.denom, a.offset * t, a.series.subst_monomial(1, t))
+def support(series) -> list[tuple[Fraction, object]]:
+    """(exponent, coefficient) of every nonzero term, exponents ascending."""
+    e, s = _pair(series)
+    return [(e + n, c) for n, c in s.nonzero_items()]
 
 
+def coeff_at(series, exponent):
+    """The coefficient of q^exponent in series: 0 below its prefactor and
+    off the grid prefactor + Z."""
+    e, s = _pair(series)
+    k = Fraction(exponent) - e
+    if k >= s.order:
+        raise PrecisionExceeded(f"exponent {exponent} is beyond {exponent_bound(series)}")
+    return s.coeffs[int(k)] if k >= 0 and k.denominator == 1 else 0
+
+
+def frac_pow(a: tuple, r: int) -> tuple:
+    """a^r for a pair; r < 0 inverts, which needs constant term +-1."""
+    return a[0] * r, a[1].pow_int(r)
+
+
+def frac_subst_scale(a: tuple, t: int) -> tuple:
+    """q -> q^t on a pair: every exponent scales by t."""
+    return a[0] * t, a[1].subst_monomial(1, t)

@@ -8,6 +8,7 @@ from newform_products.arith import (
     is_prime,
     smallest_prime_factors,
 )
+from newform_products.elliptic import count_points, curve_from_quintuple
 
 from oracles import legendre, primes_upto
 
@@ -124,19 +125,14 @@ class TestIsPrime:
         assert is_prime.__wrapped__(10 ** 12 + 39)
         assert not is_prime.__wrapped__(1000003 * 1000033)
 
-    def test_factoring_above_bound(self, monkeypatch):
-        # 1287836182261 * 2575672364521 is a strong pseudoprime to bases 2..41
-        # and the first n that Miller-Rabin with them does not decide
-        n = 3317044064679887385961981
-        calls = []
-
-        def recorded(m):
-            calls.append(m)
-            return Factorization(m, ((1287836182261, 1), (2575672364521, 1)))
-
-        monkeypatch.setattr(arith, "factor", recorded)
-        assert not is_prime.__wrapped__(n)
-        assert calls == [n]
+    @pytest.mark.parametrize("n", [3317044064679887385961981, 2 ** 89 - 1])
+    def test_refuses_above_bound(self, n):
+        # the first is a strong pseudoprime to bases 2..41 and the first n
+        # that Miller-Rabin with them does not decide; the second is prime
+        with pytest.raises(ValueError, match="3317044064679887385961981"):
+            is_prime.__wrapped__(n)
+        with pytest.raises(ValueError, match="3317044064679887385961981"):
+            count_points(curve_from_quintuple((0, 0, 1, -1, 0)), n)
 
 
 class TestSmallestPrimeFactors:

@@ -21,7 +21,8 @@ PACKAGE = ROOT / "src" / "newform_products"
 
 # Definitions with no library caller on purpose, and why.
 NO_LIBRARY_CALLER = {
-    "qseries.frac_mul": "`bench/tracer.py` wraps it by name; the tests' oracles call it",
+    "qseries.frac_mul": "multiplies (prefactor, series) pairs; `bench/tracer.py` wraps it by "
+    "name and the tests' oracles call it",
     "registry.save_registry": "writes the file that `table1 --registry` reads",
 }
 

@@ -7,6 +7,7 @@ import pytest
 from newform_products import products
 from newform_products.elliptic import an_expansion, curve_from_quintuple
 from newform_products.errors import (
+    BlockMismatch,
     InternalIntegralityFailure,
     NonMonicSeries,
     PrecisionExceeded,
@@ -124,10 +125,21 @@ class TestKnownBlocks:
 
     def test_block_profile_detects_off_grid(self):
         g = ExponentSequence((0, 4, 1, 0, 0, 4))  # support {2, 3, 6}, not 2-grid
-        from newform_products.errors import BlockMismatch
-
         with pytest.raises(BlockMismatch):
             block_profile(g, 4, 2)
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            # g_2 = 3 is not divisible by 4, but every off-grid index is read first
+            ((0, 3, 1, 0, 0, 4), "g_3 = 1 nonzero off the t=2 grid"),
+            ((0, 4, 0, 6, 0, 5), "g_4 = 6 not divisible by r=4"),
+        ],
+    )
+    def test_block_profile_messages(self, g, message):
+        with pytest.raises(BlockMismatch) as got:
+            block_profile(ExponentSequence(g), 4, 2)
+        assert str(got.value) == message
 
     def test_infer_block(self):
         g = ExponentSequence((0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 4))
@@ -273,7 +285,7 @@ class TestRecurrenceKernel:
     def test_phi_exponents_give_phi(self):
         assert unit_product(phi_exponents(60), 60) == theta_sum(
             MonomialArg(1, 1), MonomialArg(1, 1), 60
-        ).series
+        )
 
     def test_euler_and_theta_exponents(self):
         for order in self.ORDERS:

@@ -7,7 +7,6 @@ from newform_products.errors import (
     NonUnitConstantTerm,
 )
 from newform_products.qseries import (
-    FracSeries,
     PowerSeries,
     frac_mul,
 )
@@ -36,7 +35,7 @@ class TestAddMul:
         a = PowerSeries.from_terms({0: 1, 1: 1}, 10)
         b = PowerSeries.from_terms({0: 1, 1: -1}, 10)
         assert (a + b).coeffs == (2,) + (0,) * 9
-        z = PowerSeries.zero(10)
+        z = PowerSeries((0,) * 10)
         assert (a + z).coeffs == a.coeffs
 
     def test_add_truncates_to_min_order(self):
@@ -214,7 +213,7 @@ class TestAgainstSchoolbook:
             PowerSeries((0,)),
             PowerSeries((5,)),
             PowerSeries((-(10 ** 300),)),
-            PowerSeries.zero(12),
+            PowerSeries((0,) * 12),
             PowerSeries.one(12),
             PowerSeries.from_terms({7: -3}, 12),
             PowerSeries.from_terms({11: 10 ** 40}, 12),
@@ -238,46 +237,34 @@ class TestAgainstSchoolbook:
 
 
 class TestFracSeries:
+    """Fractional-exponent series as (prefactor, PowerSeries in q) pairs."""
+
     def test_frac_mul_offsets_add(self):
-        a = FracSeries.make(24, 1, PowerSeries.one(4))  # q^(1/24)
+        a = (Fraction(1, 24), PowerSeries.one(4))  # q^(1/24)
         prod = frac_mul(a, a)
-        assert Fraction(prod.offset, prod.denom) == Fraction(1, 12)
+        assert prod == (Fraction(1, 12), PowerSeries.one(4))
 
     def test_inverse_cancels(self):
-        eta_like = FracSeries.make(
-            24, 1, PowerSeries.from_terms({0: 1, 24: -1, 48: -1}, 24 * 6)
-        )
+        eta_like = (Fraction(1, 24), PowerSeries.from_terms({0: 1, 1: -1, 2: -1}, 6))
         prod = frac_mul(eta_like, frac_pow(eta_like, -1))
-        assert Fraction(prod.offset, prod.denom) == 0
-        assert prod.support() == [(Fraction(0), 1)]
-
-    def test_denominator_normalizes_away(self):
-        a = FracSeries.make(4, 1, PowerSeries.from_terms({0: 1, 4: 2}, 12))
-        b = FracSeries.make(4, 3, PowerSeries.from_terms({0: 1, 4: 5}, 12))
-        prod = frac_mul(a, b)
-        assert prod.denom == 1
-        assert Fraction(prod.offset, prod.denom) == 1
+        assert prod == (0, PowerSeries.one(6))
 
     def test_frac_pow_zero_and_inverse_pair(self):
-        a = FracSeries.make(24, 1, PowerSeries.from_terms({0: 1, 24: -1}, 72))
-        assert frac_pow(a, 0).support() == [(Fraction(0), 1)]
+        a = (Fraction(1, 24), PowerSeries.from_terms({0: 1, 1: -1}, 3))
+        assert frac_pow(a, 0) == (0, PowerSeries.one(3))
         ident = frac_mul(frac_pow(a, -1), frac_pow(a, 1))
-        assert ident.support() == [(Fraction(0), 1)]
+        assert ident == (0, PowerSeries.one(3))
 
     def test_frac_pow_scales_leading_exponent(self):
         # eta-shaped block at scale 6 raised to the 4th: leading exponent 1
-        eta = FracSeries.make(24, 1, PowerSeries.from_terms({0: 1, 24: -1}, 24 * 30))
+        eta = (Fraction(1, 24), PowerSeries.from_terms({0: 1, 1: -1}, 30))
         scaled = frac_subst_scale(eta, 6)
         powered = frac_pow(scaled, 4)
-        assert Fraction(powered.offset, powered.denom) == 1
-
-    def test_equal_objects_equal_representations(self):
-        a = FracSeries.make(8, 2, PowerSeries.from_terms({0: 1, 4: 7}, 16))
-        b = FracSeries.make(4, 1, PowerSeries.from_terms({0: 1, 2: 7}, 8))
-        assert (a.denom, a.offset, a.series.coeffs) == (b.denom, b.offset, b.series.coeffs)
+        assert powered[0] == 1
+        assert powered[1] == PowerSeries.from_terms({0: 1, 6: -1}, 180).pow_int(4)
 
     def test_frac_equal_to_reports_first_mismatch(self):
-        a = FracSeries.make(2, 1, PowerSeries((1, 0, 2, 0, 3)))
-        b = FracSeries.make(2, 1, PowerSeries((1, 0, 2, 0, 4)))
+        a = (Fraction(1, 2), PowerSeries((1, 2, 3)))
+        b = (Fraction(1, 2), PowerSeries((1, 2, 4)))
         ok, at = frac_equal_to_by_exponents(a, b, 3)
         assert not ok and at == Fraction(5, 2)

@@ -1,5 +1,6 @@
 """Two-variable theta series, the conductor-256 block, and its identities."""
 
+import math
 import sys
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from newform_products import products, theta
 from newform_products.errors import BlockMismatch
 from newform_products.eta import eta_signed
 from newform_products.products import ExponentSequence, unit_product
-from newform_products.qseries import FracSeries, PowerSeries
+from newform_products.qseries import PowerSeries
 from newform_products.theta import (
     ETA256_CURVE,
     ETA256_CURVE_ISOGENOUS,
@@ -64,7 +65,7 @@ PAIRS = [
 
 def phi(order):
     """phi(q) = theta(q, q)."""
-    return theta_sum(MonomialArg(1, 1), MonomialArg(1, 1), order).series
+    return theta_sum(MonomialArg(1, 1), MonomialArg(1, 1), order)
 
 
 class TestTripleProduct:
@@ -76,19 +77,38 @@ class TestTripleProduct:
     @pytest.mark.parametrize("a,b", PAIRS)
     def test_first_mismatch_equals_oracle(self, monkeypatch, a, b, k):
         # one coefficient of the product side changed, at its second or its
-        # last grid index; on a fractional grid the last one lies past order
+        # last index on the q^(1/d) grid; the oracle reads both grid lists as
+        # series in q^(1/d), so its position is divided by d
         product = theta.theta_product
 
         def bumped(a, b, order):
-            p = product(a, b, order)
-            c = list(p.series.coeffs)
+            c = list(product(a, b, order).coeffs)
             c[k] += 1
-            return FracSeries.make(p.denom, p.offset, PowerSeries(tuple(c)))
+            return PowerSeries(tuple(c))
 
-        expected = frac_equal_to_by_exponents(theta_sum(a, b, 30), bumped(a, b, 30), 30)
+        d = math.lcm(a.den, b.den)
+        ok, at = frac_equal_to_by_exponents(theta_sum(a, b, 30), bumped(a, b, 30), 30 * d)
         monkeypatch.setattr(theta, "theta_product", bumped)
-        assert not expected[0]
-        assert verify_triple_product(a, b, 30) == expected
+        assert not ok
+        assert verify_triple_product(a, b, 30) == (ok, at / d)
+
+    @pytest.mark.parametrize("bump", [False, True])
+    def test_grid_of_unreduced_arguments(self, monkeypatch, bump):
+        # q^(2/4), q^(6/4) sum and multiply on the q^(1/4) grid, q^(1/2), q^(3/2)
+        # on the q^(1/2) grid; a bump at q^1 of the product side must be read
+        # at q^1 on both, so both sides must pick the same grid
+        if bump:
+            product = theta.theta_product
+
+            def bumped(a, b, order):
+                c = list(product(a, b, order).coeffs)
+                c[len(c) // order] += 1
+                return PowerSeries(tuple(c))
+
+            monkeypatch.setattr(theta, "theta_product", bumped)
+        unreduced = verify_triple_product(MonomialArg(1, 2, 4), MonomialArg(1, 6, 4), 30)
+        reduced = verify_triple_product(MonomialArg(1, 1, 2), MonomialArg(1, 3, 2), 30)
+        assert unreduced == reduced == ((False, Fraction(1)) if bump else (True, None))
 
     def test_nonpositive_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -110,9 +130,9 @@ class TestClassicalTheta:
     def test_phi_equals_theta_sum(self, order):
         # theta(q, q) against the closed form 1 + 2 sum_{n >= 1} q^(n^2)
         s = theta_sum(MonomialArg(1, 1), MonomialArg(1, 1), order)
-        assert s.denom == 1 and s.offset == 0 and s.exponent_bound() == order
+        assert s.order == order
         squares = {n * n: 2 for n in range(1, order) if n * n < order}
-        assert dict(s.series.nonzero_items()) == {0: 1, **squares}
+        assert dict(s.nonzero_items()) == {0: 1, **squares}
 
     def test_psi_coefficients(self):
         f = psi(16)
@@ -123,9 +143,8 @@ class TestClassicalTheta:
     def test_psi_neg_q2_two_routes(self):
         # theta(-q^2, -q^6), as identity 1 sums it, vs substitution into psi
         direct = theta_sum(MonomialArg(-1, 2), MonomialArg(-1, 6), 40)
-        assert direct.denom == 1 and direct.offset == 0
         alt = psi(20).subst_monomial(-1, 2)
-        assert direct.series.coeffs == alt.coeffs
+        assert direct.coeffs == alt.coeffs
 
 
 class TestEta256Block:
@@ -253,7 +272,7 @@ class TestSignedFactors:
         order = 60
         g = [0] * order
         _add_signed_factors(g, 2, 2, -1, -1, r)
-        ours = FracSeries.make(12, r, _expand(g).subst_monomial(1, 12))
+        ours = (Fraction(r, 12), _expand(g))
         theirs = frac_pow(eta_signed(2, -1, order // 2 + 1), r)
         ok, where = frac_equal_to_by_exponents(ours, theirs, order - 1)
         assert ok, where
