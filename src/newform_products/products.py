@@ -5,35 +5,21 @@ f = q * prod (1 - q^n)^{g_n}.  One kernel serves both directions: for
 u = f/q the logarithmic derivative q u'/u = -sum c_m q^m has
 c_m = sum_{d|m} d*g_d, and n u_n = -sum_{k<=n} c_k u_{n-k} links u and c.
 Extraction solves that recurrence for c and inverts the divisor sums by an
-in-place Moebius sieve; expansion sieves the divisor sums of g and runs the
-recurrence forwards.  A slower peel-off extraction is checked against this
-one in the tests.  A product of blocks is checked in exponent space only:
-`_combined_exponents` gives its g, which search compares with the target's.
+in-place Moebius sieve, `_moebius`, which the eta-quotient search shares;
+expansion sieves the divisor sums of g and runs the recurrence forwards.
+A slower peel-off extraction is checked against this one in the tests.  A
+product of blocks is checked in exponent space only: `_combined_exponents`
+gives its g, which search compares with the target's.
 
-Both directions run the recurrence on the stride t of the input's support:
-the gcd of the positive indices where u, or g, is nonzero (the divisor sums
-c of g have the same stride as g).  Then u(q) = v(q^t), and c is zero off
-the t-grid with c_{t*m} = t * c^v_m, where c^v belongs to v; so the
-recurrence runs on v = u[::t], or on c[::t] // t, and a block on the t-grid
-solves a recurrence of length N/t, not N.
-
-Both directions solve the recurrence with one private kernel, `_recurrence`,
-which divides and conquers as relaxed multiplication does when one operand
-is known in advance (van der Hoeven, "Relax, but don't be too lazy",
-J. Symbolic Comput. 34 (2002)): the left half of a range is solved, its
-contributions to the right half's sums are added in one cross-product, and
-then the right half is solved; ranges of at most 32 terms take one dot
-product per term.  A cross-product whose terms fit a 64-bit slot is one
-packed Kronecker product from `qseries`, so the narrow series of eta and
-theta products cost O(M(N) log N); a wider one, such as the c of a newform
-with thousands of bits, takes one dot product per target.
+Both directions run the triangular-solve kernel `qseries._recurrence` on
+the stride of u, or of c (the divisor sums of g have the stride of g), so
+a block on the t-grid solves a recurrence of length N/t, not N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, mul
 
 from .errors import (
     BlockMismatch,
@@ -42,9 +28,7 @@ from .errors import (
     PrecisionExceeded,
     ZeroSequence,
 )
-from .qseries import PowerSeries, _packed_product, _slot_bits, _spread, _stride
-
-_BLOCK = 32  # ranges this short are solved term by term
+from .qseries import PowerSeries, _recurrence, _stride
 
 
 @dataclass(frozen=True)
@@ -56,11 +40,6 @@ class ExponentSequence:
     @property
     def upto(self) -> int:
         return len(self.g)
-
-    def at(self, n: int):
-        if not 1 <= n <= self.upto:
-            raise PrecisionExceeded(f"g_{n} beyond computed range {self.upto}")
-        return self.g[n - 1]
 
 
 @dataclass(frozen=True)
@@ -83,50 +62,11 @@ def _monic_unit_part(f: PowerSeries) -> PowerSeries:
 def _logder_coefficients(u: PowerSeries) -> list:
     """c_1..c_{T-1} of q u'/u = -sum c_m q^m for u = 1 + O(q), T = order(u).
 
-    Solves n u_n = -sum_{k=1}^{n} c_k u_{n-k} for c_n, with no division, on
-    v = u[::t] for the stride t of u; then c_{t*m} = t * c^v_m and c is zero
-    off the t-grid.  Index 0 of the returned list is an unused 0.
+    Solves n u_n = -sum_{k=1}^{n} c_k u_{n-k} for c_n, with no division.
+    Index 0 of the returned list is an unused 0.
     """
     u = u.coeffs
-    t = _stride(u)
-    v = u[::t] if t > 1 else u
-    c = _recurrence(v, 0, lambda n, s: -n * v[n] - s)
-    return _spread([t * x for x in c] if t > 1 else c, t, len(u))
-
-
-def _recurrence(y, x0, step) -> list:
-    """x_0 = x0 and x_n = step(n, sum_{0 <= j < n} x_j y_{n-j}) for 1 <= n < len(y).
-
-    Divides and conquers as the module docstring describes.  Only a
-    cross-product whose slot fits in 64 bits is packed: for extraction's c
-    of thousands of bits, packing measured about 3 times slower than the
-    dot products.  The terms are solved in increasing n, so `step` sees
-    (and may reject) the first bad term first.
-    """
-    # until x_n is solved, x[n] holds the part of its sum added so far
-    x = [x0 * v for v in y]
-    x[0] = x0
-
-    def solve(lo, hi):
-        if hi - lo <= _BLOCK:
-            for n in range(lo, hi):
-                x[n] = step(n, x[n] + sum(map(mul, x[lo:n], y[n - lo : 0 : -1])))
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid)
-        # targets n in [mid, hi) take x_j y_{n-j} for j in [lo, mid), so the
-        # window y_1 .. y_{hi-lo-1} covers every n - j
-        left, window = x[lo:mid], y[1 : hi - lo]
-        if _slot_bits(left, window) < 64:
-            cross = _packed_product(left, window, hi - lo - 1)[mid - lo - 1 :]
-            x[mid:hi] = map(add, x[mid:hi], cross)
-        else:
-            for n in range(mid, hi):
-                x[n] += sum(map(mul, left, y[n - lo : n - mid : -1]))
-        solve(mid, hi)
-
-    solve(1, len(y))
-    return x
+    return _recurrence(u, 0, lambda n, s: -n * u[n] - s)
 
 
 def _divisor_sums(lam: list) -> list:
@@ -137,6 +77,16 @@ def _divisor_sums(lam: list) -> list:
         if v:
             for m in range(d, len(lam), d):
                 c[m] += v
+    return c
+
+
+def _moebius(c: list) -> list:
+    """Invert c_m = sum_{d|m} lam_d in place, for 1 <= m < len(c); returns c, now lam."""
+    # once c_d = lam_d is final, remove it from every proper multiple of d
+    for d in range(1, len(c)):
+        if c[d]:
+            for m in range(2 * d, len(c), d):
+                c[m] -= c[d]
     return c
 
 
@@ -151,28 +101,21 @@ def log_derivative_quotient(f: PowerSeries) -> PowerSeries:
 
 def extract_exponents(f: PowerSeries) -> ExponentSequence:
     """Exponents g_n with f = q * prod (1-q^n)^{g_n}, for n < order(f) - 1."""
-    c = _logder_coefficients(_monic_unit_part(f))
-    # c_m = sum_{d|m} d * g_d: once c_d = d * g_d is final, remove it from
-    # every multiple of d (an in-place Moebius inversion)
-    for d in range(1, len(c)):
-        if c[d] % d != 0:
+    # c_m = sum_{d|m} d * g_d, so the sieve leaves d * g_d at d
+    dg = _moebius(_logder_coefficients(_monic_unit_part(f)))
+    for d in range(1, len(dg)):
+        if dg[d] % d != 0:
             raise InternalIntegralityFailure(
                 f"Moebius inversion gave non-integer exponent at n={d}"
             )
-        for m in range(2 * d, len(c), d):
-            c[m] -= c[d]
-    return ExponentSequence(tuple(c[d] // d for d in range(1, len(c))))
+    return ExponentSequence(tuple(dg[d] // d for d in range(1, len(dg))))
 
 
 def reconstruct(g: ExponentSequence, order: int) -> PowerSeries:
-    """q * prod_{n <= order-1} (1 - q^n)^{g_n}, truncated to the given order."""
+    """q * prod (1 - q^n)^{g_n} to the given order, from g_1..g_{order-2}, the
+    exponents that count below q^order; so reconstruct inverts extract_exponents."""
     if order < 1:
         raise ValueError(f"reconstruction needs order >= 1, got {order}")
-    if order > g.upto + 1:
-        raise PrecisionExceeded(
-            f"reconstruction to order {order} needs exponents up to {order - 1}, "
-            f"have {g.upto}"
-        )
     u = unit_product(g, order - 1) if order > 1 else PowerSeries.one(1)
     return PowerSeries((0,) + u.coeffs[: order - 1])
 
@@ -181,9 +124,7 @@ def unit_product(g: ExponentSequence, order: int) -> PowerSeries:
     """prod_{n < order} (1 - q^n)^{g_n} truncated to the given order.
 
     Runs the log-derivative recurrence forwards: c from the divisor sums of
-    g, then n u_n = -sum_{k=1}^{n} c_k u_{n-k}, dividing exactly by n.  For
-    the stride t of c it runs on c[::t] // t, which is exact, and spreads u
-    back onto the t-grid.
+    g, then n u_n = -sum_{k=1}^{n} c_k u_{n-k}, dividing exactly by n.
     """
     if order < 1:
         raise ValueError(f"product needs order >= 1, got {order}")
@@ -191,18 +132,14 @@ def unit_product(g: ExponentSequence, order: int) -> PowerSeries:
         raise PrecisionExceeded(
             f"product to order {order} needs exponents up to {order - 1}, have {g.upto}"
         )
-    c = _divisor_sums([0, *g.g[: order - 1]])
-    t = _stride(c)
-    if t > 1:
-        c = [v // t for v in c[::t]]
 
     def step(n, s):
         un, rem = divmod(-s, n)
         if rem:
-            raise InternalIntegralityFailure(f"product coefficient q^{t * n} not integral")
+            raise InternalIntegralityFailure(f"product coefficient q^{n} not integral")
         return un
 
-    return PowerSeries(tuple(_spread(_recurrence(c, 1, step), t, order)))
+    return PowerSeries(tuple(_recurrence(_divisor_sums([0, *g.g[: order - 1]]), 1, step)))
 
 
 def block_profile(g: ExponentSequence, r_check: int, t_check: int) -> BlockProfile:

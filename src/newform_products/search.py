@@ -17,7 +17,7 @@ exponent space: `assemble` sums the parts' exponents into G with no series
 expansion, and `match_against` compares G with the target's exponents g,
 extracted once per search.  The series is expanded only to place a
 mismatch whose first differing coefficient is zero in the candidate.
-`eta_quotient_search` solves for a quotient from g alone, with no expansion.
+`eta_quotient_search` reads a quotient off g alone, by extraction's Moebius sieve.
 """
 
 from __future__ import annotations
@@ -26,11 +26,16 @@ import math
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 
-from .arith import divisors
 from .elliptic import an_expansion, curve_from_quintuple
 from .errors import PrecisionExceeded, UnknownLevel
 from .eta import EtaQuotient
-from .products import ExponentSequence, _combined_exponents, extract_exponents, unit_product
+from .products import (
+    ExponentSequence,
+    _combined_exponents,
+    _moebius,
+    extract_exponents,
+    unit_product,
+)
 from .qseries import PowerSeries
 from .registry import BlockRecord, record_for
 
@@ -221,26 +226,18 @@ def eta_quotient_search(
     sum t*r = 24, |r| <= exponent_bound, matching the level's registry
     newform to the given order.
 
-    The exponents of a matching quotient are determined triangularly by the
-    target's extracted g_n (g_n = sum_{t|n} r_t), so the bounded enumeration
-    reduces to solving that system on the divisors of the level and checking
-    the remaining exponents.  Those g_n fix the series through
-    q^(order-1), so a quotient that fits all of them matches the target to
-    that order.
+    A quotient has g_n = sum_{t|n} r_t, so Moebius inversion of the target's
+    g_n gives the only candidate r, which must vanish off the divisors of
+    the level.  Those g_n fix the series through q^(order-1).
     """
     rec = record_for(level)
     if rec is None:
         raise UnknownLevel(f"no registry record for conductor {level}")
     g = extract_exponents(an_expansion(curve_from_quintuple(rec.curves[0]), order))
-    r: dict[int, int] = {}
-    for t in divisors(level):
-        if t > g.upto:
-            break
-        r[t] = g.at(t) - sum(r[d] for d in divisors(t) if d != t)
-    eq = EtaQuotient(tuple((t, rt) for t, rt in r.items() if rt != 0))
-    # consistency of every extracted exponent with the periodic pattern
-    if eq.exponents(g.upto + 1)[1:] != list(g.g):
+    r = _moebius([0, *g.g])
+    if any(r[n] for n in range(1, len(r)) if level % n):
         return []
+    eq = EtaQuotient(tuple((t, r[t]) for t in range(1, len(r)) if r[t]))
     if any(abs(rt) > exponent_bound for _, rt in eq.terms):
         return []
     if eq.weight_numerator != 4 or eq.leading_exponent != 1:

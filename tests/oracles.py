@@ -16,7 +16,7 @@ from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 
-from newform_products.arith import factor, is_prime
+from newform_products.arith import divisors, factor, is_prime
 from newform_products.elliptic import an_expansion, curve_from_quintuple
 from newform_products.errors import (
     InternalIntegralityFailure,
@@ -167,8 +167,9 @@ def extract_exponents_peeling(f: PowerSeries) -> ExponentSequence:
         gm = -h.coeffs[m]
         g.append(gm)
         if gm != 0:
-            factor = PowerSeries.from_terms({0: 1, m: -1}, h.order)
-            h = h * factor.pow_int(-gm)
+            # (1 - q^m)^(-1) is the geometric series, so no series is inverted
+            terms = {0: 1, m: -1} if gm < 0 else dict.fromkeys(range(0, h.order, m), 1)
+            h = h * PowerSeries.from_terms(terms, h.order).pow_int(abs(gm))
         if any(h.coeffs[1 : m + 1]):
             raise InternalIntegralityFailure(f"peeling left a nonzero term at m={m}")
     return ExponentSequence(tuple(g))
@@ -254,7 +255,7 @@ def frac_equal_to_by_exponents(a, b, bound):
 
 def eta_quotient_series_by_powers(eq: EtaQuotient, order: int) -> tuple:
     """The quotient as a product of powers of substituted eta series: each
-    eta(q^t)^r raised by square-and-multiply (and a Newton inverse for r < 0)."""
+    eta(q^t)^r raised by square-and-multiply (after inverse_by_recurrence for r < 0)."""
     result = None
     for t, r in eq.terms:
         part = frac_pow(frac_subst_scale(eta_signed(1, 1, max(order // t + 1, 2)), t), r)
@@ -262,6 +263,28 @@ def eta_quotient_series_by_powers(eq: EtaQuotient, order: int) -> tuple:
     if result is None:
         return Fraction(0), PowerSeries.one(order)
     return result
+
+
+def eta_quotient_by_divisors(
+    g: ExponentSequence, level: int, exponent_bound: int
+) -> list[EtaQuotient]:
+    """The eta quotients that eta_quotient_search accepts for the exponents g
+    at this level, solved divisor by divisor: r_t = g_t - sum_{d|t, d<t} r_d
+    for each t | level, then the quotient is re-expanded and compared with
+    every g_n."""
+    r = {}
+    for t in divisors(level):
+        if t > g.upto:
+            break
+        r[t] = g.g[t - 1] - sum(r[d] for d in divisors(t) if d != t)
+    eq = EtaQuotient(tuple((t, rt) for t, rt in r.items() if rt != 0))
+    if eq.exponents(g.upto + 1)[1:] != list(g.g):
+        return []
+    if any(abs(rt) > exponent_bound for _, rt in eq.terms):
+        return []
+    if eq.weight_numerator != 4 or eq.leading_exponent != 1:
+        return []
+    return [eq]
 
 
 def assemble_series(cand, blocks, order: int) -> tuple:
@@ -350,8 +373,10 @@ def coeff_at(series, exponent):
 
 
 def frac_pow(a: tuple, r: int) -> tuple:
-    """a^r for a pair; r < 0 inverts, which needs constant term +-1."""
-    return a[0] * r, a[1].pow_int(r)
+    """a^r for a pair; r < 0 inverts by inverse_by_recurrence, which needs
+    constant term +-1."""
+    base = a[1] if r >= 0 else inverse_by_recurrence(a[1])
+    return a[0] * r, base.pow_int(abs(r))
 
 
 def frac_subst_scale(a: tuple, t: int) -> tuple:

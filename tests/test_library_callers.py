@@ -4,10 +4,11 @@ library module imports is read in it, every name in the package's
 `__all__` resolves, and every name the benchmark's tracer wraps exists.
 
 Code that only the tests reach belongs in the tests (see `tests/oracles.py`)
-or nowhere.  Callers are matched by name: a definition counts as used when
+or nowhere.  Callers are matched by name: a function counts as used when
 its name is read somewhere in `src/` outside its own body, as a name or as
-an attribute, or is re-exported by `__init__`.  Dunders and `cli.main`, the
-console entry point, are exempt.
+an attribute, or is re-exported by `__init__`; a method only when it is read
+as an attribute (`x.name`), so a local variable of the same name does not
+count.  Dunders and `cli.main`, the console entry point, are exempt.
 """
 
 import ast
@@ -40,15 +41,34 @@ def _used_names(tree, reexports):
     return used
 
 
+def _attribute_loads(tree):
+    """Count the attributes read in tree (`x.name` loads)."""
+    return collections.Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
 def _definitions(module, tree):
-    """(qualified name, node) of each top-level function and each non-dunder method."""
+    """(qualified name, node, is_method) of each top-level function and each
+    non-dunder method."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                    yield f"{module}.{node.name}.{item.name}", item
+                    yield f"{module}.{node.name}.{item.name}", item, True
+
+
+def _attribute_loads(tree):
+    """Count the attributes read in tree: `x.name` loads only."""
+    return collections.Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
 
 
 def _without_library_caller():
@@ -57,14 +77,20 @@ def _without_library_caller():
         for path in PACKAGE.glob("*.py")
     }
     used = collections.Counter()
+    attributes = collections.Counter()
     for module, tree in trees.items():
         used += _used_names(tree, module == "__init__")
-    return sorted(
-        qualname
-        for module, tree in trees.items()
-        for qualname, node in _definitions(module, tree)
-        if qualname != "cli.main" and used[node.name] == _used_names(node, False)[node.name]
-    )
+        attributes += _attribute_loads(tree)
+    out = []
+    for module, tree in trees.items():
+        for qualname, node, is_method in _definitions(module, tree):
+            reads, own = (
+                (attributes, _attribute_loads(node)) if is_method
+                else (used, _used_names(node, False))
+            )
+            if qualname != "cli.main" and reads[node.name] == own[node.name]:
+                out.append(qualname)
+    return sorted(out)
 
 
 def test_every_definition_has_a_library_caller():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from newform_products import products
+from newform_products import products, qseries
 from newform_products.elliptic import an_expansion, curve_from_quintuple
 from newform_products.errors import (
     BlockMismatch,
@@ -31,6 +31,7 @@ from newform_products.theta import ETA256_CURVE, MonomialArg, theta_sum
 from oracles import (
     binomial,
     extract_exponents_peeling,
+    inverse_by_recurrence,
     logder_coefficients_dense,
     q_d_dq,
     unit_from_logder_dense,
@@ -96,6 +97,12 @@ class TestRoundTrip:
         g = ExponentSequence((1, 1, 1))
         with pytest.raises(PrecisionExceeded):
             reconstruct(g, 6)
+
+    @pytest.mark.parametrize("conductor", [37, 256, 36])
+    def test_reconstruct_inverts_extraction(self, conductor):
+        # g_1..g_{order-2} fix f below q^order, and extraction gives exactly those
+        f = an_expansion(curve_from_quintuple(record_for(conductor).curves[0]), 40)
+        assert reconstruct(extract_exponents(f), f.order) == f
 
     def test_unit_product_matches_reconstruct(self):
         g = ExponentSequence((2, -1, 3, 0, -2))
@@ -203,7 +210,7 @@ class TestKernelDifferential:
             )
             assert extract_exponents(f).g == extract_exponents_peeling(f).g
             u = PowerSeries(f.coeffs[1:])
-            e = q_d_dq(u) * u.inverse()
+            e = q_d_dq(u) * inverse_by_recurrence(u)
             expected = (e.coeffs[0] + 1,) + e.coeffs[1:]
             assert log_derivative_quotient(f).coeffs == expected
 
@@ -254,7 +261,7 @@ class TestStridedKernel:
             return a * b
 
         f = an_expansion(curve_from_quintuple(ETA256_CURVE), 4 * 100 + 2)
-        monkeypatch.setattr(products, "mul", counting_mul)
+        monkeypatch.setattr(qseries, "mul", counting_mul)
         g = extract_exponents(f)
         assert calls <= 102 ** 2 // 2
         assert infer_block(g) == (1, 4)
@@ -280,7 +287,7 @@ class TestRecurrenceKernel:
     its block boundaries, on both cross-product paths: packed for narrow terms,
     one dot product per target for wide ones."""
 
-    ORDERS = [*range(1, 3 * products._BLOCK + 3), 800]
+    ORDERS = [*range(1, 3 * qseries._BLOCK + 3), 800]
 
     def test_phi_exponents_give_phi(self):
         assert unit_product(phi_exponents(60), 60) == theta_sum(
@@ -301,7 +308,7 @@ class TestRecurrenceKernel:
     @pytest.mark.parametrize("t", [2, 3, 5])
     def test_exponents_on_a_grid(self, t):
         rng = random.Random(52 + t)
-        for order in [*range(1, 3 * products._BLOCK * t + 3, t + 1), 800]:
+        for order in [*range(1, 3 * qseries._BLOCK * t + 3, t + 1), 800]:
             g = ExponentSequence(
                 tuple(rng.randint(-3, 3) if n % t == 0 else 0 for n in range(1, order))
             )

@@ -173,7 +173,7 @@ def strided_series(rng, order, stride, bits, density=0.7):
 
 
 class TestAgainstSchoolbook:
-    """The packed product, the Newton inverse and the integer comparison
+    """The packed product, the kernel's inverse and the integer comparison
     against the term-by-term routes in oracles.py."""
 
     BITS = (0, 1, 7, 8, 63, 64, 200, 1000)  # 2^1000 is about 10^301
@@ -229,7 +229,8 @@ class TestAgainstSchoolbook:
         for stride in (1, 2, 3, 24):
             for bits in self.BITS:
                 for c0 in (1, -1):
-                    a = strided_series(rng, rng.randint(1, 24 * stride), stride, bits)
+                    # up to 80 grid terms, so the kernel crosses its 32-term blocks
+                    a = strided_series(rng, rng.randint(1, 80 * stride), stride, bits)
                     a = PowerSeries((c0,) + a.coeffs[1:])
                     assert a.inverse().coeffs == inverse_by_recurrence(a).coeffs
         for a in (PowerSeries((-1,)), PowerSeries.one(1), PowerSeries.one(50)):

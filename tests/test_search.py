@@ -7,6 +7,7 @@ import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,11 +32,13 @@ from newform_products.search import (
 from oracles import (
     assemble_series,
     coeff_at,
+    eta_quotient_by_divisors,
     exponent_bound,
     frac_pow,
     frac_subst_scale,
     match_series,
 )
+from test_elliptic import MARTIN_ONO
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -529,3 +532,32 @@ class TestEtaQuotientSearch:
 
         monkeypatch.setattr(search, "extract_exponents", bumped)
         assert eta_quotient_search(36, 30) == []
+
+
+class TestEtaQuotientDifferential:
+    """eta_quotient_search against the divisor-by-divisor solve with a
+    re-expansion check (tests/oracles.py), on the same extracted exponents."""
+
+    @staticmethod
+    def _agrees(level, order, bound):
+        rec = search.record_for(level)
+        g = extract_exponents(an_expansion(curve_from_quintuple(rec.curves[0]), order))
+        found = eta_quotient_search(level, order, bound)
+        assert found == eta_quotient_by_divisors(g, level, bound), (level, order, bound)
+        return found
+
+    @pytest.mark.parametrize("order", [3, 4, 7, 13, 30, 60])
+    def test_registry_levels(self, order):
+        for rec in builtin_table1():
+            for bound in (1, 3, 4, 24):
+                self._agrees(rec.conductor, order, bound)
+
+    @pytest.mark.parametrize("level", sorted(MARTIN_ONO))
+    def test_martin_ono_models(self, monkeypatch, level):
+        # each model as the level's record: found at its own level and at
+        # 2 * level, whose divisors include every scale, and never at level + 1
+        quintuple, terms = MARTIN_ONO[level]
+        monkeypatch.setattr(search, "record_for", lambda n: SimpleNamespace(curves=(quintuple,)))
+        assert [q.terms for q in self._agrees(level, 200, 24)] == [terms]
+        assert [q.terms for q in self._agrees(2 * level, 200, 24)] == [terms]
+        assert self._agrees(level + 1, 200, 24) == []
