@@ -157,7 +157,8 @@ def block_profile(g: ExponentSequence, r_check: int, t_check: int) -> BlockProfi
     for n, v in enumerate(on_grid, start=1):
         if v % r_check != 0:
             raise BlockMismatch(f"g_{t_check * n} = {v} not divisible by r={r_check}")
-    a = [v // r_check for v in on_grid]
+    # v // 1 is a new int, so r = 1 keeps the g_n themselves
+    a = on_grid if r_check == 1 else [v // r_check for v in on_grid]
     violations = []
     for i, v in enumerate(a, start=1):
         if v <= 0 or (i >= 2 and v <= a[i - 2]):

@@ -25,7 +25,11 @@ runs through `_recurrence`.  It solves on the stride of y and divides and
 conquers as relaxed multiplication does (van der Hoeven, "Relax, but don't
 be too lazy", J. Symbolic Comput. 34 (2002)): each solved left half adds
 its contributions to the right half's sums in one cross-product, a packed
-product when its terms fit 64 bits and dot products when wider.
+product when its terms fit 64 bits and, when wider, a Toeplitz
+matrix-vector product split by Karatsuba along the index (`_toeplitz`, the
+transposed Karatsuba or middle product: Hanrot, Quercia and Zimmermann,
+"The middle product algorithm I", Appl. Algebra Engrg. Comm. Comput. 14
+(2004)), so a wide term is only added or multiplied by a narrow one.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import compress, islice
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import NonUnitConstantTerm
 
@@ -90,7 +94,8 @@ class PowerSeries:
         t = math.gcd(_stride(self.coeffs[:T]), _stride(other.coeffs[:T]))
         a = self.coeffs[:T:t]
         b = a if other is self else other.coeffs[:T:t]
-        return PowerSeries(tuple(_spread(_packed_product(a, b, len(a)), t, T)))
+        cross = _packed_product(a, b, len(a), _slot_bits(a, b))
+        return PowerSeries(tuple(_spread(cross, t, T)))
 
     def inverse(self) -> "PowerSeries":
         """1/a at the same order, for a_0 = +-1: h_0 = a_0, h_n = -a_0 sum_{j<n} h_j a_{n-j}."""
@@ -149,9 +154,10 @@ def _recurrence(y, x0, step) -> list:
     Solves on z = y[::t] for the stride t of y, calling step with the true
     n, and spreads x back onto the t-grid.  That is exact when step(n, 0) = 0
     wherever y_n = 0, as x and every sum then vanish off the grid.  Wider
-    cross-products are not packed: for extraction's c of thousands of bits,
-    packing measured about 3 times slower than the dot products.  Terms are
-    solved in increasing n, so `step` sees (and may reject) the first bad one.
+    cross-products are not packed, since the slots of extraction's c of
+    thousands of bits would pad its narrow u to their width; `_toeplitz`
+    computes them instead.  Terms are solved in increasing n, so `step` sees
+    (and may reject) the first bad one.
     """
     t = _stride(y)
     z = y[::t]
@@ -169,16 +175,45 @@ def _recurrence(y, x0, step) -> list:
         # targets m in [mid, hi) take x_j z_{m-j} for j in [lo, mid), so the
         # window z_1 .. z_{hi-lo-1} covers every m - j
         left, window = x[lo:mid], z[1 : hi - lo]
-        if _slot_bits(left, window) < 64:
-            cross = _packed_product(left, window, hi - lo - 1)[mid - lo - 1 :]
-            x[mid:hi] = map(add, x[mid:hi], cross)
+        bits = _slot_bits(left, window)
+        if bits < 64:
+            cross = _packed_product(left, window, hi - lo - 1, bits)[mid - lo - 1 :]
         else:
-            for m in range(mid, hi):
-                x[m] += sum(map(mul, left, z[m - lo : m - mid : -1]))
+            # target mid + k takes sum_i x_(lo+i) z_(k-i+L): the Toeplitz
+            # product with T = z_(L-n+1) .. z_(L+n-1)
+            L, n = mid - lo, hi - mid
+            cross = _toeplitz(z[L - n + 1 : L + n], left + [0] * (n - L))
+        x[mid:hi] = map(add, x[mid:hi], cross)
         solve(mid, hi)
 
     solve(1, len(z))
     return _spread(x, t, len(y))
+
+
+def _toeplitz(T, a) -> list:
+    """r_k = sum_i a_i T[k - i + n - 1] for 0 <= k < n = len(a), where len(T) = 2n - 1.
+
+    The n x n Toeplitz matrix M[k][i] = T[k - i + n - 1] times a, by the 2 x 2
+    Karatsuba split along the index: M11 = M00, so with P0 = M00 (a0 + a1),
+    P1 = (M01 - M00) a1 and P2 = (M10 - M00) a0 the result is
+    [P0 + P1, P0 + P2], three half-size products in place of four.  Each
+    entry of a is only added to others or multiplied by a difference of
+    entries of T.  Odd n pads both ends of T and the end of a with one 0;
+    at n <= _BLOCK each r_k is one dot product.
+    """
+    n = len(a)
+    if n <= _BLOCK:
+        a = a[::-1]
+        return [sum(map(mul, a, T[k : k + n])) for k in range(n)]
+    if n % 2:
+        return _toeplitz([0, *T, 0], [*a, 0])[:n]
+    h = n // 2
+    a0, a1 = a[:h], a[h:]
+    m00 = T[h : 3 * h - 1]
+    p0 = _toeplitz(m00, list(map(add, a0, a1)))
+    p1 = _toeplitz(list(map(sub, T[: 2 * h - 1], m00)), a1)
+    p2 = _toeplitz(list(map(sub, T[2 * h :], m00)), a0)
+    return [*map(add, p0, p1), *map(add, p0, p2)]
 
 
 def _slot_bits(a, b) -> int:
@@ -193,8 +228,9 @@ def _slot_bits(a, b) -> int:
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _packed_product(a, b, n: int) -> list:
-    """The first n coefficients of a(q) b(q), for integer sequences a and b.
+def _packed_product(a, b, n: int, bits: int) -> list:
+    """The first n coefficients of a(q) b(q), for integer sequences a and b of
+    at most n terms, given bits = _slot_bits(a, b).
 
     Kronecker substitution: with slots of w bytes, where 2^(8w-1) exceeds
     max|a| * max|b| * min(len a, len b) and so every product coefficient,
@@ -204,8 +240,7 @@ def _packed_product(a, b, n: int) -> list:
     bytes, so that `struct` packs and unpacks all slots in one call; a
     wider one goes through `to_bytes`/`from_bytes` slot by slot.
     """
-    a, b = a[:n], b[:n]
-    w = _slot_bits(a, b) // 8 + 1
+    w = bits // 8 + 1
     if w <= 8:
         w = 1 << (w - 1).bit_length()
     half = 1 << (8 * w - 1)

@@ -285,7 +285,7 @@ def phi_exponents(order: int) -> ExponentSequence:
 class TestRecurrenceKernel:
     """The divide-and-conquer kernel against the dense dot-product loops across
     its block boundaries, on both cross-product paths: packed for narrow terms,
-    one dot product per target for wide ones."""
+    a Karatsuba-split Toeplitz product for wide ones."""
 
     ORDERS = [*range(1, 3 * qseries._BLOCK + 3), 800]
 
@@ -316,11 +316,38 @@ class TestRecurrenceKernel:
 
     def test_wide_terms_of_37a(self):
         # c reaches about 450 bits by order 300, so the later cross-products
-        # of both directions take the dot-product path
+        # of both directions take the Toeplitz path
         f = f37(300)
         u = _monic_unit_part(f)
         assert _logder_coefficients(u) == logder_coefficients_dense(u)
         _against_dense_loops(extract_exponents(f), 299)
+
+    def test_extraction_of_37a_at_800(self):
+        # the top cross-product has 399 targets, padded to 400, so its
+        # Toeplitz product splits four times down to 25-term leaves
+        f = f37(800)
+        u = _monic_unit_part(f)
+        assert _logder_coefficients(u) == logder_coefficients_dense(u)
+        _against_dense_loops(extract_exponents(f), 799)
+
+    def test_scalar_products_grow_below_quadratically(self, monkeypatch):
+        # a wide cross-product splits into three half-size Toeplitz products,
+        # not one dot product per target: doubling the order multiplies the
+        # scalar products on 37a by 3.08, where the dot products gave 4.02
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return a * b
+
+        monkeypatch.setattr(qseries, "mul", counted)
+        counts = []
+        for order in (1024, 2048):
+            calls = 0
+            extract_exponents(f37(order))
+            counts.append(calls)
+        assert counts[1] <= 3.3 * counts[0], counts
 
     @pytest.mark.parametrize("t", [1, 3])
     def test_integrality_failure_at_the_same_power(self, t, monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from newform_products import qseries
 from newform_products.errors import (
     NonUnitConstantTerm,
 )
@@ -235,6 +236,37 @@ class TestAgainstSchoolbook:
                     assert a.inverse().coeffs == inverse_by_recurrence(a).coeffs
         for a in (PowerSeries((-1,)), PowerSeries.one(1), PowerSeries.one(50)):
             assert a.inverse().coeffs == inverse_by_recurrence(a).coeffs
+
+
+def toeplitz_double_loop(T, a):
+    """r_k = sum_i a_i T[k - i + n - 1] for 0 <= k < n = len(a), one term at a time."""
+    n = len(a)
+    return [sum(a[i] * T[k - i + n - 1] for i in range(n)) for k in range(n)]
+
+
+class TestToeplitz:
+    """The kernel's wide cross-product against a double loop at every length
+    1..130: odd and even, at the leaf of 32 terms and across the splits at
+    64 and 128, in both directions the kernel uses it."""
+
+    def _check(self, rng, wide_vector):
+        def terms(count, bound):
+            return [rng.randint(-bound, bound) for _ in range(count)]
+
+        for n in range(1, 131):
+            if wide_vector:  # extraction: wide c against the narrow u
+                T, a = terms(2 * n - 1, 9), terms(n, 2 ** 3000)
+            else:  # unit_product: wide c against the u being solved
+                T, a = terms(2 * n - 1, 2 ** 3000), terms(n, 9)
+            before = (list(T), list(a))
+            assert qseries._toeplitz(T, a) == toeplitz_double_loop(T, a), n
+            assert (T, a) == before
+
+    def test_wide_vector_narrow_matrix(self):
+        self._check(random.Random(2601), wide_vector=True)
+
+    def test_wide_matrix_narrow_vector(self):
+        self._check(random.Random(2602), wide_vector=False)
 
 
 class TestFracSeries:
