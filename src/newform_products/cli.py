@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from typing import NamedTuple
 
 from . import __version__
@@ -26,7 +27,7 @@ from .errors import NewformError, ZeroSequence
 from .eta import verify_e2_identity
 from .products import block_profile, extract_exponents, infer_block
 from .qseries import PowerSeries
-from .registry import builtin_table1, extend_block, load_registry, unlimited_int_digits
+from .registry import builtin_table1, extend_block
 from .search import (
     DEFAULT_ETA_EXPONENT_BOUND,
     assemble,
@@ -44,6 +45,20 @@ BOUNDED_SEARCH_NOTE = (
     "bounded-search result: absence of a match within these bounds is not a "
     "nonexistence claim"
 )
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the int/str conversion digit cap, if the build has one, while the body runs."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _parse_quintuple(text: str) -> tuple[int, ...]:
@@ -211,12 +226,10 @@ def cmd_exponents(args) -> dict:
 
 
 def cmd_table1(args) -> dict:
-    if args.extend is not None and args.extend < 12:
-        raise ValueError("extension target must be >= 12")
-    records = load_registry(args.registry) if args.registry else builtin_table1()
     rows = []
     lines = []
-    for rec, failure, a_shown in _extensions(records, args.extend or 12):
+    upto = 12 if args.extend is None else args.extend
+    for rec, failure, a_shown in _extensions(builtin_table1(), upto):
         status = "PASS" if failure is None else f"FAIL ({failure})"
         rows.append([rec.conductor, rec.r_check, rec.t_check, status])
         lines.append(
@@ -227,7 +240,7 @@ def cmd_table1(args) -> dict:
     lines.append(f"{passed}/{len(rows)} PASS")
     return _document(
         "table1",
-        {"verify": True, "extend": args.extend, "registry": args.registry},
+        {"verify": True, "extend": args.extend},
         {
             "rows": rows,
             "header": ["conductor", "r_check", "t_check", "status"],
@@ -409,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="verify/extend the embedded block table")
     p.add_argument("--extend", type=int, default=None, metavar="K")
-    p.add_argument("--registry", default=None, help="registry file instead of builtins")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("theta", help="theta/eta identity checks")

@@ -37,9 +37,5 @@ class TableMismatch(NewformError):
     """Recomputation contradicts an embedded table row; fatal fixture error."""
 
 
-class SchemaViolation(NewformError):
-    """Registry file fails structural validation."""
-
-
 class UnknownLevel(NewformError):
     """No registry record exists for the requested conductor."""

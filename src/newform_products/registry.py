@@ -1,36 +1,17 @@
-"""Embedded building-block table and its persistence.
+"""Embedded building-block table and its extension.
 
 Each record holds a conductor, the defining curve(s), the block shape
 (r_check, t_check), the twelve reference exponents a_1..a_12, and an
-optional extension computed from point counting.  Integers are serialized
-as decimal strings, with no digit cap: extended exponents grow quickly.
+optional extension computed from point counting.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .elliptic import an_expansion, curve_from_quintuple
-from .errors import SchemaViolation, TableMismatch
+from .errors import TableMismatch
 from .products import block_profile, extract_exponents
-
-
-@contextmanager
-def unlimited_int_digits():
-    """Lift the int/str conversion digit cap, if the build has one, while the body runs."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 @dataclass(frozen=True)
@@ -41,7 +22,6 @@ class BlockRecord:
     t_check: int
     a_printed: tuple[int, ...]
     a_extended: tuple[int, ...] | None = None
-    extra: dict = field(default_factory=dict, compare=False)
 
 
 # Table of building blocks: conductor, curves, r_check, t_check, a_1..a_12.
@@ -119,75 +99,3 @@ def extend_block(rec: BlockRecord, upto: int) -> BlockRecord:
         )
     return replace(rec, a_extended=a)
 
-
-_REQUIRED_FIELDS = {"conductor", "curves", "r_check", "t_check", "a_printed"}
-
-
-def _record_to_json(rec: BlockRecord) -> dict:
-    doc = {
-        "conductor": rec.conductor,
-        "curves": [list(c) for c in rec.curves],
-        "r_check": rec.r_check,
-        "t_check": rec.t_check,
-        "a_printed": [str(v) for v in rec.a_printed],
-        "a_extended": [str(v) for v in rec.a_extended] if rec.a_extended else None,
-        "order": len(rec.a_extended) if rec.a_extended else len(rec.a_printed),
-    }
-    doc.update(rec.extra)
-    return doc
-
-
-def _record_from_json(doc: dict, where: str) -> BlockRecord:
-    if not isinstance(doc, dict):
-        raise SchemaViolation(f"{where}: record must be an object")
-    missing = _REQUIRED_FIELDS - doc.keys()
-    if missing:
-        raise SchemaViolation(f"{where}: missing fields {sorted(missing)}")
-    try:
-        curves = tuple(tuple(int(v) for v in c) for c in doc["curves"])
-        if any(len(c) != 5 for c in curves) or not curves:
-            raise ValueError("curves must be nonempty quintuples")
-        rec = BlockRecord(
-            conductor=int(doc["conductor"]),
-            curves=curves,
-            r_check=int(doc["r_check"]),
-            t_check=int(doc["t_check"]),
-            a_printed=tuple(int(v) for v in doc["a_printed"]),
-            a_extended=tuple(int(v) for v in doc["a_extended"]) if doc.get("a_extended") else None,
-            extra={
-                k: v
-                for k, v in doc.items()
-                if k not in _REQUIRED_FIELDS | {"a_extended", "order"}
-            },
-        )
-    except (TypeError, ValueError) as ex:
-        raise SchemaViolation(f"{where}: {ex}") from ex
-    return rec
-
-
-@unlimited_int_digits()
-def save_registry(records: list[BlockRecord], path: str | os.PathLike) -> None:
-    doc = {"format": "newform-block-registry", "version": 1,
-           "records": [_record_to_json(r) for r in records]}
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-@unlimited_int_digits()
-def load_registry(path: str | os.PathLike) -> list[BlockRecord]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as ex:
-        raise SchemaViolation(f"{path}: {ex}") from ex
-    if not isinstance(doc, dict) or doc.get("format") != "newform-block-registry":
-        raise SchemaViolation(f"{path}: not a block-registry document")
-    records = doc.get("records")
-    if not isinstance(records, list):
-        raise SchemaViolation(f"{path}: 'records' must be a list")
-    return [
-        _record_from_json(r, f"{path}:records[{i}]") for i, r in enumerate(records)
-    ]

@@ -15,7 +15,7 @@ from newform_products import cli, theta
 from newform_products.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from newform_products.errors import TableMismatch
 from newform_products.products import ExponentSequence
-from newform_products.registry import builtin_table1, record_for, save_registry
+from newform_products.registry import builtin_table1, record_for
 from newform_products.theta import MonomialArg, theta_sum
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -168,19 +168,18 @@ class TestTable1:
         assert code == EXIT_USAGE and text == ""
         assert "must be >= 12" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extend", ["0", "11"])
-    def test_extend_below_12_exit_2_with_empty_registry(self, extend, tmp_path, capsys):
-        # no record reaches the registry's own check, so the CLI makes it
+    def test_no_registry_file_input(self, tmp_path, capsys):
+        # the embedded table is the only source of rows
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(
             {"format": "newform-block-registry", "version": 1, "records": []}))
-        code, text = run("table1", "--registry", str(path), "--extend", extend)
+        code, text = run("table1", "--registry", str(path))
         assert code == EXIT_USAGE and text == ""
-        assert "must be >= 12" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestTable1Failure:
-    """A registry row whose printed a_n contradicts the recomputed block."""
+    """A table row whose printed a_n contradicts the recomputed block."""
 
     MISMATCH = (
         "FAIL (conductor 37: recomputed block (1, 2, 3, 8, 16, 41, 97, 242, 598, "
@@ -188,17 +187,15 @@ class TestTable1Failure:
         "1532, 3898, 10067))"
     )
 
-    @pytest.fixture
-    def registry(self, tmp_path):
+    @pytest.fixture(autouse=True)
+    def altered_table(self, monkeypatch):
         rows = builtin_table1()[:2]
         a = rows[1].a_printed
         rows[1] = dataclasses.replace(rows[1], a_printed=(a[0] + 1,) + a[1:])
-        path = tmp_path / "altered.json"
-        save_registry(rows, path)
-        return str(path)
+        monkeypatch.setattr(cli, "builtin_table1", lambda: rows)
 
-    def test_plain(self, registry):
-        code, text = run("table1", "--registry", registry)
+    def test_plain(self):
+        code, text = run("table1")
         assert code == EXIT_VIOLATION
         assert text.splitlines() == [
             "N=   36  r=4 t=6  PASS",
@@ -206,8 +203,8 @@ class TestTable1Failure:
             "1/2 PASS",
         ]
 
-    def test_plain_extend_shows_printed_row(self, registry):
-        code, text = run("table1", "--registry", registry, "--extend", "12")
+    def test_plain_extend_shows_printed_row(self):
+        code, text = run("table1", "--extend", "12")
         assert code == EXIT_VIOLATION
         assert text.splitlines() == [
             "N=   36  r=4 t=6  PASS  a=1,1,1,1,1,1,1,1,1,1,1,1",
@@ -215,8 +212,8 @@ class TestTable1Failure:
             "1/2 PASS",
         ]
 
-    def test_json(self, registry):
-        code, text = run("table1", "--registry", registry, "--format", "json")
+    def test_json(self):
+        code, text = run("table1", "--format", "json")
         assert code == EXIT_VIOLATION
         doc = json.loads(text)
         assert doc["status"] == "violation"
@@ -232,8 +229,8 @@ class TestTable1Failure:
             "total": 2,
         }
 
-    def test_csv(self, registry):
-        code, text = run("table1", "--registry", registry, "--format", "csv")
+    def test_csv(self):
+        code, text = run("table1", "--format", "csv")
         assert code == EXIT_VIOLATION
         assert text == (
             "conductor,r_check,t_check,status\n"

@@ -24,7 +24,6 @@ PACKAGE = ROOT / "src" / "newform_products"
 NO_LIBRARY_CALLER = {
     "qseries.frac_mul": "multiplies (prefactor, series) pairs; `bench/tracer.py` wraps it by "
     "name and the tests' oracles call it",
-    "registry.save_registry": "writes the file that `table1 --registry` reads",
 }
 
 
@@ -39,15 +38,6 @@ def _used_names(tree, reexports):
         elif reexports and isinstance(node, ast.ImportFrom):
             used.update(alias.name for alias in node.names)
     return used
-
-
-def _attribute_loads(tree):
-    """Count the attributes read in tree (`x.name` loads)."""
-    return collections.Counter(
-        node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    )
 
 
 def _definitions(module, tree):

@@ -1,20 +1,15 @@
-"""Built-in block table, extension, and JSON persistence."""
-
-import json
-import sys
+"""Built-in block table and its extension."""
 
 import pytest
 
 from newform_products.elliptic import an_expansion, curve_from_quintuple
-from newform_products.errors import SchemaViolation, TableMismatch
+from newform_products.errors import TableMismatch
 from newform_products.products import block_profile, extract_exponents
 from newform_products.registry import (
     BlockRecord,
     builtin_table1,
     extend_block,
-    load_registry,
     record_for,
-    save_registry,
 )
 
 
@@ -72,68 +67,3 @@ class TestExtension:
     def test_minimum_target(self):
         with pytest.raises(ValueError):
             extend_block(record_for(36), 5)
-
-
-class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        recs = [extend_block(record_for(36), 20), record_for(37)]
-        path = tmp_path / "registry.json"
-        save_registry(recs, path)
-        back = load_registry(path)
-        assert back == recs
-        assert back[0].a_extended == recs[0].a_extended
-
-    def test_big_integers_survive(self, tmp_path):
-        rec = BlockRecord(
-            conductor=37,
-            curves=((0, 0, 1, -1, 0),),
-            r_check=2,
-            t_check=1,
-            a_printed=(10**40, 2, 3, 8, 16, 41, 97, 242, 598, 1532, 3898, 10067),
-        )
-        path = tmp_path / "big.json"
-        save_registry([rec], path)
-        assert load_registry(path)[0].a_printed[0] == 10**40
-
-    def test_integers_past_the_str_digit_cap_survive(self, tmp_path):
-        # 5,000 digits, past CPython's default 4,300-digit int/str cap
-        digits = "1" + "0" * 4998 + "7"
-        big = 10**4999 + 7
-        rec = BlockRecord(37, ((0, 0, 1, -1, 0),), 2, 1, record_for(37).a_printed, (big, 2))
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        path = tmp_path / "huge.json"
-        save_registry([rec], path)
-        assert f'"{digits}"' in path.read_text()
-        assert load_registry(path) == [rec]
-        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "broken.json"
-        save_registry([record_for(36)], path)
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])
-        with pytest.raises(SchemaViolation):
-            load_registry(path)
-
-    def test_missing_field_rejected(self, tmp_path):
-        path = tmp_path / "missing.json"
-        save_registry([record_for(36)], path)
-        doc = json.loads(path.read_text())
-        del doc["records"][0]["r_check"]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaViolation):
-            load_registry(path)
-
-    def test_extra_field_preserved(self, tmp_path):
-        rec = record_for(36)
-        rec = BlockRecord(
-            conductor=rec.conductor,
-            curves=rec.curves,
-            r_check=rec.r_check,
-            t_check=rec.t_check,
-            a_printed=rec.a_printed,
-            extra={"note": "kept"},
-        )
-        path = tmp_path / "extra.json"
-        save_registry([rec], path)
-        assert load_registry(path)[0].extra.get("note") == "kept"
