@@ -8,7 +8,6 @@ and searches for product decompositions under the two linear constraints.
 
 __version__ = "0.1.0"
 
-from .arith import divisors, factor
 from .elliptic import Curve, ReductionInfo, an_expansion, count_points, curve_from_quintuple, reduction_at
 from .eta import EtaQuotient, eta_quotient_series, eta_signed, euler_product, verify_e2_identity
 from .products import (
@@ -33,12 +32,10 @@ __all__ = [
     "block_profile",
     "count_points",
     "curve_from_quintuple",
-    "divisors",
     "eta_quotient_series",
     "eta_signed",
     "euler_product",
     "extract_exponents",
-    "factor",
     "infer_block",
     "log_derivative_quotient",
     "reconstruct",

@@ -1,56 +1,13 @@
-"""Exact integer number theory: factorization, primality, a smallest-prime-factor
-sieve, divisors.
+"""Exact integer number theory: primality and a smallest-prime-factor sieve.
 
-Everything here is pure and exact.  `factor` trial-divides, so its inputs
-stay small (see its size note); `is_prime` is a Miller-Rabin test that is
-deterministic below 3.3 * 10^24 and refuses larger n.
+Everything here is pure and exact.  `is_prime` is a Miller-Rabin test that
+is deterministic below 3.3 * 10^24 and refuses larger n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Canonical prime factorization: primes strictly increasing, exponents >= 1."""
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        prod = 1
-        prev = 0
-        for p, e in self.factors:
-            if p <= prev or e < 1:
-                raise ValueError(f"non-canonical factorization for {self.value}")
-            prev = p
-            prod *= p ** e
-        if prod != self.value:
-            raise ValueError(f"factors do not multiply to {self.value}")
-
-
-@lru_cache(maxsize=None)
-def factor(n: int) -> Factorization:
-    """Trial-division factorization; intended for n up to ~10^7."""
-    if n < 1:
-        raise ValueError(f"factor() needs n >= 1, got {n}")
-    m = n
-    factors = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
-    if m > 1:
-        factors.append((m, 1))
-    return Factorization(n, tuple(factors))
 
 
 # (n_max, k): the first k primes are a deterministic set of Miller-Rabin
@@ -106,14 +63,3 @@ def smallest_prime_factors(limit: int) -> list[int]:
     for d in range(math.isqrt(limit), 1, -1):
         spf[d * d :: d] = [d] * len(range(d * d, limit + 1, d))
     return spf
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n in increasing order."""
-    if n < 1:
-        raise ValueError(f"divisors() needs n >= 1, got {n}")
-    divs = [1]
-    for p, e in factor(n).factors:
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-

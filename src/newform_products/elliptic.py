@@ -67,9 +67,6 @@ class Curve:
     def quintuple(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    def __str__(self):
-        return f"[{self.a1},{self.a2},{self.a3},{self.a4},{self.a6}]"
-
 
 @dataclass(frozen=True)
 class ReductionInfo:

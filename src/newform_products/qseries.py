@@ -70,9 +70,6 @@ class PowerSeries:
                 c[n] = v
         return PowerSeries(tuple(c))
 
-    def nonzero_items(self) -> list[tuple[int, object]]:
-        return [(i, c) for i, c in enumerate(self.coeffs) if c != 0]
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
@@ -82,9 +79,6 @@ class PowerSeries:
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         T = min(self.order, other.order)
         return PowerSeries(tuple(a - b for a, b in zip(self.coeffs[:T], other.coeffs[:T])))
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(tuple(-c for c in self.coeffs))
 
     def scale(self, k) -> "PowerSeries":
         return PowerSeries(tuple(k * c for c in self.coeffs))
@@ -127,11 +121,6 @@ class PowerSeries:
         for n, c in enumerate(self.coeffs):
             out[n * t] = c if (sign == 1 or n % 2 == 0) else -c
         return PowerSeries(tuple(out))
-
-    def __str__(self):
-        parts = [f"{c}*q^{n}" for n, c in self.nonzero_items()[:8]]
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(q^{self.order})"
 
 
 def _stride(seq) -> int:

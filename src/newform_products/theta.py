@@ -36,7 +36,6 @@ from .products import ExponentSequence, unit_product
 from .qseries import PowerSeries
 
 ETA256_CURVE = (0, 0, 0, -2, 0)
-ETA256_CURVE_ISOGENOUS = (0, 0, 0, 8, 0)
 
 
 @dataclass(frozen=True)

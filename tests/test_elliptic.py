@@ -8,7 +8,7 @@ import pytest
 
 from newform_products import arith, elliptic
 
-from newform_products.arith import factor, is_prime
+from newform_products.arith import is_prime
 from newform_products.elliptic import (
     ADDITIVE,
     GOOD,
@@ -28,6 +28,7 @@ from oracles import (
     coeff_at,
     count_points_legendre,
     count_points_naive,
+    factor,
     legendre,
     nonminimal_by_substitution,
     primes_upto,

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from newform_products import arith, eta
+from newform_products import eta
 from newform_products.eta import (
     EtaQuotient,
     eta_quotient_series,
@@ -18,6 +18,7 @@ from newform_products.registry import record_for
 
 from oracles import (
     coeff_at,
+    divisors,
     euler_product_dense,
     eta_quotient_series_by_powers,
     frac_equal_to_by_exponents,
@@ -102,7 +103,7 @@ class TestEtaQuotient:
     def test_martin_ono_exponents_are_divisor_sums(self, level, length):
         r = dict(MARTIN_ONO[level][1])
         expected = [0] + [
-            sum(r.get(d, 0) for d in arith.divisors(n)) for n in range(1, length)
+            sum(r.get(d, 0) for d in divisors(n)) for n in range(1, length)
         ]
         assert EtaQuotient(MARTIN_ONO[level][1]).exponents(length) == expected
 
@@ -156,7 +157,7 @@ class TestE2Identity:
     def test_identity_detects_perturbation(self, monkeypatch):
         p = euler_product(40)
         bumped = p + PowerSeries.from_terms({10: 1}, 40)
-        sigma = [0] + [sum(arith.divisors(n)) for n in range(1, 40)]
+        sigma = [0] + [sum(divisors(n)) for n in range(1, 40)]
         lhs = q_d_dq(bumped) * inverse_by_recurrence(bumped)
         assert any(lhs.coeffs[n] != -sigma[n] for n in range(1, 40))
         # the unperturbed series does satisfy it, term for term

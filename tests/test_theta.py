@@ -14,7 +14,6 @@ from newform_products.products import ExponentSequence, unit_product
 from newform_products.qseries import PowerSeries
 from newform_products.theta import (
     ETA256_CURVE,
-    ETA256_CURVE_ISOGENOUS,
     MonomialArg,
     WEIGHT4_PRINTED,
     _add_signed_factors,
@@ -28,7 +27,7 @@ from newform_products.theta import (
     weight4_series,
 )
 
-from oracles import eta256_block, frac_equal_to_by_exponents, frac_pow, psi
+from oracles import eta256_block, frac_equal_to_by_exponents, frac_pow, nonzero_items, psi
 
 
 def eta256_squared_by_product(order):
@@ -132,7 +131,7 @@ class TestClassicalTheta:
         s = theta_sum(MonomialArg(1, 1), MonomialArg(1, 1), order)
         assert s.order == order
         squares = {n * n: 2 for n in range(1, order) if n * n < order}
-        assert dict(s.nonzero_items()) == {0: 1, **squares}
+        assert dict(nonzero_items(s)) == {0: 1, **squares}
 
     def test_psi_coefficients(self):
         f = psi(16)
@@ -164,7 +163,7 @@ class TestEta256Block:
 
     def test_isogenous_model_same_expansion(self):
         f = an_expansion(curve_from_quintuple(ETA256_CURVE), 60)
-        g = an_expansion(curve_from_quintuple(ETA256_CURVE_ISOGENOUS), 60)
+        g = an_expansion(curve_from_quintuple((0, 0, 0, 8, 0)), 60)
         assert f.coeffs == g.coeffs
 
     def test_series_substitution_matches_counting(self):
