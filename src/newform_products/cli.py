@@ -295,10 +295,10 @@ def cmd_search(args) -> dict:
     candidates = enumerate_candidates(blocks, args.s, args.max_r, args.max_t)
     target = None
     if args.target:
-        target = an_expansion(curve_from_quintuple(_parse_quintuple(args.target)), args.order)
         if args.order < 3:
             # below q^3 the target has no g_1, so no candidate is compared
             raise ValueError(f"search --target needs --order >= 3, got {args.order}")
+        target = an_expansion(curve_from_quintuple(_parse_quintuple(args.target)), args.order)
         target_exponents = extract_exponents(target)
     entries = []
     for cand in candidates:

@@ -1,6 +1,7 @@
 """Signed-argument eta, eta quotients, and the E2 identity.
 
-Euler's product prod (1 - q^n) is the theta_sum specialization f(-q, -q^2).
+Euler's product prod (1 - q^n) is the theta_sum specialization f(-q, -q^2),
+and eta(sign * q^t) reads its product off f(-sign * q^t, -q^(2t)) likewise.
 An eta quotient prod_t eta(q^t)^(r_t) is q^(sum t r_t / 24) times
 prod_n (1 - q^n)^(g_n), with g_n = sum_{t | n} r_t: eta(q^t) is q^(t/24)
 times the block whose a_n are all 1, so `EtaQuotient.exponents` combines
@@ -69,10 +70,12 @@ def eta_signed(t: int, sign: int, order: int) -> tuple[Fraction, PowerSeries]:
     """eta(sign * q^t) = q^(t/24) * prod (1 - sign^n q^(t n)), as the pair
     (t/24, product); the product is known to order t * order.
 
-    The 24th-root-of-unity ambiguity of (-q^t)^(1/24) is resolved by keeping
-    the positive-branch prefactor; the theta-identity checks pin this choice.
+    The product is Euler's f(-q, -q^2) at q -> sign * q^t, which is the
+    theta sum f(-sign * q^t, -q^(2t)).  The 24th-root-of-unity ambiguity of
+    (-q^t)^(1/24) is resolved by keeping the positive-branch prefactor; the
+    theta-identity checks pin this choice.
     """
-    return Fraction(t, 24), euler_product(order).subst_monomial(sign, t)
+    return Fraction(t, 24), theta_sum(MonomialArg(-sign, t), MonomialArg(-1, 2 * t), t * order)
 
 
 def eta_quotient_series(eq: EtaQuotient, order: int) -> tuple[Fraction, PowerSeries]:

@@ -8,28 +8,28 @@ inputs justify.  Inversion needs constant term +1 or -1.
 A fractional exponent appears only as an eta prefactor: q^e * S(q) is the
 pair (e, S), with e a Fraction, and `frac_mul` multiplies two such pairs.
 
-Every series product is one product of two Python ints (Kronecker
-substitution; Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", J. Symbolic Comput. 44 (2009)).  Both operands are
-first compressed by the common stride t of their supports, so a(q^t) b(q^t)
-costs a product of length T/t.  Each coefficient list is packed into one
-int, in slots wide enough that no coefficient of the product overflows its
-slot; CPython multiplies the two ints in C (Karatsuba), and the product's
-slots are read back from its bytes.  Slots of up to 8 bytes are widened to
-1, 2, 4 or 8 bytes, so that one `struct` call packs or unpacks a whole
-sequence.
+Every series product runs through one routine, `_middle`, the middle
+product r_k = sum_i a_i T[k - i + n - 1] of an n-term a and a (2n-1)-term T
+(Hanrot, Quercia and Zimmermann, "The middle product algorithm I", Appl.
+Algebra Engrg. Comm. Comput. 14 (2004)).  A truncated product a(q) b(q) is
+the middle product with T = n - 1 zeros followed by b.  `_middle` decides
+the width once.  Terms whose products fit 64 bits go through one product of
+two Python ints (Kronecker substitution; Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
+44 (2009)): each sequence is packed by one `struct` call into slots of 1,
+2, 4 or 8 bytes, CPython multiplies the two ints in C (Karatsuba), and the
+product's slots are read back the same way.  Wider terms go through
+`_toeplitz`, a Karatsuba split along the index, so a wide term is only
+added or multiplied by a narrow one and never padded to a slot.  The
+series product first compresses both operands by the common stride t of
+their supports, so a(q^t) b(q^t) costs a product of length T/t.
 
 Every triangular solve x_n = step(n, sum_{j<n} x_j y_{n-j}), the inverse
 here and both directions of the log-derivative recurrence in `products`,
 runs through `_recurrence`.  It solves on the stride of y and divides and
 conquers as relaxed multiplication does (van der Hoeven, "Relax, but don't
 be too lazy", J. Symbolic Comput. 34 (2002)): each solved left half adds
-its contributions to the right half's sums in one cross-product, a packed
-product when its terms fit 64 bits and, when wider, a Toeplitz
-matrix-vector product split by Karatsuba along the index (`_toeplitz`, the
-transposed Karatsuba or middle product: Hanrot, Quercia and Zimmermann,
-"The middle product algorithm I", Appl. Algebra Engrg. Comm. Comput. 14
-(2004)), so a wide term is only added or multiplied by a narrow one.
+its contributions to the right half's sums in one middle product.
 """
 
 from __future__ import annotations
@@ -86,10 +86,8 @@ class PowerSeries:
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         T = min(self.order, other.order)
         t = math.gcd(_stride(self.coeffs[:T]), _stride(other.coeffs[:T]))
-        a = self.coeffs[:T:t]
-        b = a if other is self else other.coeffs[:T:t]
-        cross = _packed_product(a, b, len(a), _slot_bits(a, b))
-        return PowerSeries(tuple(_spread(cross, t, T)))
+        a, b = self.coeffs[:T:t], other.coeffs[:T:t]
+        return PowerSeries(tuple(_spread(_middle((0,) * (len(a) - 1) + b, a), t, T)))
 
     def inverse(self) -> "PowerSeries":
         """1/a at the same order, for a_0 = +-1: h_0 = a_0, h_n = -a_0 sum_{j<n} h_j a_{n-j}."""
@@ -111,17 +109,6 @@ class PowerSeries:
                 base = base * base
         return result
 
-    def subst_monomial(self, sign: int, t: int) -> "PowerSeries":
-        """q -> sign * q^t; output order is input order * t."""
-        if sign not in (1, -1):
-            raise ValueError("sign must be +-1")
-        if t < 1:
-            raise ValueError("scale must be a positive integer")
-        out = [0] * (self.order * t)
-        for n, c in enumerate(self.coeffs):
-            out[n * t] = c if (sign == 1 or n % 2 == 0) else -c
-        return PowerSeries(tuple(out))
-
 
 def _stride(seq) -> int:
     """The gcd of the indices n >= 1 with seq[n] != 0; len(seq) if there are none."""
@@ -142,11 +129,9 @@ def _recurrence(y, x0, step) -> list:
 
     Solves on z = y[::t] for the stride t of y, calling step with the true
     n, and spreads x back onto the t-grid.  That is exact when step(n, 0) = 0
-    wherever y_n = 0, as x and every sum then vanish off the grid.  Wider
-    cross-products are not packed, since the slots of extraction's c of
-    thousands of bits would pad its narrow u to their width; `_toeplitz`
-    computes them instead.  Terms are solved in increasing n, so `step` sees
-    (and may reject) the first bad one.
+    wherever y_n = 0, as x and every sum then vanish off the grid.  Terms
+    are solved in increasing n, so `step` sees (and may reject) the first
+    bad one.
     """
     t = _stride(y)
     z = y[::t]
@@ -161,22 +146,40 @@ def _recurrence(y, x0, step) -> list:
             return
         mid = (lo + hi) // 2
         solve(lo, mid)
-        # targets m in [mid, hi) take x_j z_{m-j} for j in [lo, mid), so the
-        # window z_1 .. z_{hi-lo-1} covers every m - j
-        left, window = x[lo:mid], z[1 : hi - lo]
-        bits = _slot_bits(left, window)
-        if bits < 64:
-            cross = _packed_product(left, window, hi - lo - 1, bits)[mid - lo - 1 :]
-        else:
-            # target mid + k takes sum_i x_(lo+i) z_(k-i+L): the Toeplitz
-            # product with T = z_(L-n+1) .. z_(L+n-1)
-            L, n = mid - lo, hi - mid
-            cross = _toeplitz(z[L - n + 1 : L + n], left + [0] * (n - L))
+        # target mid + k takes sum_i x_(lo+i) z_(k-i+L) for i < L: the middle
+        # product with T = z_(L-n+1) .. z_(L+n-1), where n - L is 0 or 1
+        L, n = mid - lo, hi - mid
+        cross = _middle(z[L - n + 1 : L + n], x[lo:mid] + [0] * (n - L))
         x[mid:hi] = map(add, x[mid:hi], cross)
         solve(mid, hi)
 
     solve(1, len(z))
     return _spread(x, t, len(y))
+
+
+def _middle(T, a) -> list:
+    """r_k = sum_i a_i T[k - i + n - 1] for 0 <= k < n = len(a), where len(T) = 2n - 1.
+
+    r_k is the coefficient of q^(n-1+k) in a(q) T(q).  When its terms fit 64
+    bits, that product is one product of two ints (Kronecker substitution):
+    with slots of w = 1, 2, 4 or 8 bytes, where 2^(8w-1) exceeds every
+    coefficient of a(q) T(q), each sequence becomes sum c_i 2^(8wi), and
+    adding 2^(8w-1) to every slot of the product makes each slot
+    nonnegative, so one `struct` call reads slots n-1 .. 2n-2 back.  Wider
+    terms go to `_toeplitz`, so a narrow operand is never padded to the
+    slots of a wide one.
+    """
+    n = len(a)
+    bits = _slot_bits(T, a)
+    if bits >= 64:
+        return _toeplitz(T, a)
+    w = 1 << (bits // 8).bit_length()
+    half = 1 << (8 * w - 1)
+    slot = bytes(w - 1) + b"\x80"  # half, little-endian
+    product = _pack(T, w, half, slot) * _pack(a, w, half, slot)
+    packed = (product + int.from_bytes(slot * (2 * n - 1), "little")) >> (8 * w * (n - 1))
+    raw = (packed & ((1 << (8 * w * n)) - 1)).to_bytes(w * n, "little")
+    return [v - half for v in struct.unpack(f"<{n}{_SLOT_FORMATS[w]}", raw)]
 
 
 def _toeplitz(T, a) -> list:
@@ -217,41 +220,9 @@ def _slot_bits(a, b) -> int:
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _packed_product(a, b, n: int, bits: int) -> list:
-    """The first n coefficients of a(q) b(q), for integer sequences a and b of
-    at most n terms, given bits = _slot_bits(a, b).
-
-    Kronecker substitution: with slots of w bytes, where 2^(8w-1) exceeds
-    max|a| * max|b| * min(len a, len b) and so every product coefficient,
-    each sequence becomes the one int sum a_i 2^(8wi), and the two ints are
-    multiplied once.  Adding 2^(8w-1) to every slot makes each slot
-    nonnegative.  A slot of at most 8 bytes is widened to 1, 2, 4 or 8
-    bytes, so that `struct` packs and unpacks all slots in one call; a
-    wider one goes through `to_bytes`/`from_bytes` slot by slot.
-    """
-    w = bits // 8 + 1
-    if w <= 8:
-        w = 1 << (w - 1).bit_length()
-    half = 1 << (8 * w - 1)
-    slot = bytes(w - 1) + b"\x80"  # half, little-endian
-    x = _pack(a, w, half, slot)
-    y = x if b is a else _pack(b, w, half, slot)
-    m = min(n, len(a) + len(b) - 1)
-    packed = (x * y + int.from_bytes(slot * m, "little")) & ((1 << (8 * w * m)) - 1)
-    raw = packed.to_bytes(w * m, "little")
-    if w in _SLOT_FORMATS:
-        out = [v - half for v in struct.unpack(f"<{m}{_SLOT_FORMATS[w]}", raw)]
-    else:
-        out = [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * m, w)]
-    return out + [0] * (n - m)
-
-
 def _pack(c, w: int, half: int, slot: bytes) -> int:
     """sum c_i 2^(8wi) for |c_i| < half = 2^(8w-1), via one offset byte string."""
-    if w in _SLOT_FORMATS:
-        raw = struct.pack(f"<{len(c)}{_SLOT_FORMATS[w]}", *[v + half for v in c])
-    else:
-        raw = b"".join([(v + half).to_bytes(w, "little") for v in c])
+    raw = struct.pack(f"<{len(c)}{_SLOT_FORMATS[w]}", *[v + half for v in c])
     return int.from_bytes(raw, "little") - int.from_bytes(slot * len(c), "little")
 
 

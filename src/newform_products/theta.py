@@ -208,10 +208,9 @@ def verify_eta256_identities(order: int) -> tuple[bool, bool, tuple]:
 
     g_x, g_y = [0] * order, [0] * order
     _add_signed_factors(g_x, 2, 2, -1, -1, 12 - 2)
+    _add_signed_factors(g_x, 4, 4, 1, 1, -2)
     _add_signed_factors(g_y, 2, 2, -1, -1, -2)
-    for k in range(4, order, 4):
-        g_x[k] -= 2
-        g_y[k] += 12 - 2
+    _add_signed_factors(g_y, 4, 4, 1, 1, 12 - 2)
     q_y = PowerSeries((0,) + _expand(g_y).coeffs[:-1])
     at2 = _first_mismatch(lhs, _expand(g_x) - q_y.scale(8))
     if at2 is not None:

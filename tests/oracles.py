@@ -145,12 +145,19 @@ def legendre(a: int, p: int) -> int:
     return r - p if r == p - 1 else r
 
 
+@lru_cache(maxsize=None)
+def euler_criterion_table(p: int) -> tuple:
+    """(d/p) for 0 <= d < p, each by `legendre`; one table per odd prime p."""
+    return tuple(legendre(d, p) for d in range(p))
+
+
 def count_points_legendre(c, p: int) -> int:
     """#E~(F_p) for odd p: one Legendre symbol of the completed square per x."""
+    chi = euler_criterion_table(p)
     n = p + 1
     for x in range(p):
         d = (c.a1 * x + c.a3) ** 2 + 4 * (x ** 3 + c.a2 * x * x + c.a4 * x + c.a6)
-        n += legendre(d, p)
+        n += chi[d % p]
     return n
 
 
@@ -439,6 +446,14 @@ def frac_pow(a: tuple, r: int) -> tuple:
     return a[0] * r, base.pow_int(abs(r))
 
 
+def subst_monomial(s: PowerSeries, sign: int, t: int) -> PowerSeries:
+    """s(sign * q^t), term by term; output order is input order * t."""
+    out = [0] * (s.order * t)
+    for n, c in enumerate(s.coeffs):
+        out[n * t] = sign ** n * c
+    return PowerSeries(tuple(out))
+
+
 def frac_subst_scale(a: tuple, t: int) -> tuple:
     """q -> q^t on a pair: every exponent scales by t."""
-    return a[0] * t, a[1].subst_monomial(1, t)
+    return a[0] * t, subst_monomial(a[1], 1, t)

@@ -415,13 +415,14 @@ class TestSearch:
         assert code == EXIT_USAGE and text == ""
         assert "search needs --max-r >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("order", ["0", "1"])
+    @pytest.mark.parametrize("order", ["0", "1", "-1"])
     def test_target_order_below_2_exit_2(self, order, capsys):
-        # the target expansion refuses the order before its exponents are taken
+        # the order is checked before the target is expanded, so the message
+        # names the flag rather than an_expansion's own bound
         code, text = run("search", "--blocks", "37,43", "--s", "2", "--max-r", "2",
                          "--max-t", "2", "--order", order, "--target", "0,0,1,-1,0")
         assert code == EXIT_USAGE and text == ""
-        assert "an_expansion needs order >= 2" in capsys.readouterr().err
+        assert "search --target needs --order >= 3" in capsys.readouterr().err
 
     def test_target_order_2_exit_2(self, capsys):
         # the target expands at order 2 but has no g_1, so nothing is compared

@@ -25,6 +25,7 @@ from oracles import (
     frac_subst_scale,
     inverse_by_recurrence,
     q_d_dq,
+    subst_monomial,
     support,
 )
 from test_elliptic import MARTIN_ONO
@@ -83,8 +84,15 @@ class TestDedekindEta:
         inner = PowerSeries.one(order)
         for n in range(1, order):
             inner = inner * PowerSeries.from_terms({0: 1, n: -((-1) ** n)}, order)
-        literal = (Fraction(t, 24), inner.subst_monomial(1, t))
+        literal = (Fraction(t, 24), subst_monomial(inner, 1, t))
         assert eta_signed(t, -1, order) == literal
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("t", [1, 2, 3, 5])
+    def test_signed_is_substituted_dense_product(self, t, sign):
+        # Euler's product multiplied out factor by factor, then q -> sign q^t
+        expected = subst_monomial(euler_product_dense(40), sign, t)
+        assert eta_signed(t, sign, 40) == (Fraction(t, 24), expected)
 
     def test_signed_rejects_bad_sign(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from oracles import (
     inverse_by_recurrence,
     mul_schoolbook,
     q_d_dq,
+    subst_monomial,
 )
 
 
@@ -131,17 +132,17 @@ class TestDerivationAndSubst:
             assert lhs.coeffs == rhs.coeffs
 
     def test_subst_examples(self):
-        assert series(1, 1, 1).subst_monomial(-1, 2).coeffs == (1, 0, -1, 0, 1, 0)
+        assert subst_monomial(series(1, 1, 1), -1, 2).coeffs == (1, 0, -1, 0, 1, 0)
         a = series(3, -2, 5)
-        assert a.subst_monomial(1, 1).coeffs == a.coeffs
-        assert series(1, 1).subst_monomial(-1, 3).coeffs == (1, 0, 0, -1, 0, 0)
+        assert subst_monomial(a, 1, 1).coeffs == a.coeffs
+        assert subst_monomial(series(1, 1), -1, 3).coeffs == (1, 0, 0, -1, 0, 0)
 
     def test_subst_is_ring_morphism(self):
         rng = random.Random(13)
         for sign, t in [(1, 2), (-1, 2), (-1, 3)]:
             a, b = rand_series(rng, 10), rand_series(rng, 10)
-            lhs = (a * b).subst_monomial(sign, t)
-            rhs = a.subst_monomial(sign, t) * b.subst_monomial(sign, t)
+            lhs = subst_monomial(a * b, sign, t)
+            rhs = subst_monomial(a, sign, t) * subst_monomial(b, sign, t)
             assert lhs.coeffs == rhs.coeffs
 
 
@@ -174,7 +175,7 @@ def strided_series(rng, order, stride, bits, density=0.7):
 
 
 class TestAgainstSchoolbook:
-    """The packed product, the kernel's inverse and the integer comparison
+    """The series product, the kernel's inverse and the integer comparison
     against the term-by-term routes in oracles.py."""
 
     BITS = (0, 1, 7, 8, 63, 64, 200, 1000)  # 2^1000 is about 10^301
@@ -267,6 +268,32 @@ class TestToeplitz:
 
     def test_wide_matrix_narrow_vector(self):
         self._check(random.Random(2602), wide_vector=False)
+
+
+class TestMiddle:
+    """The one product routine against a double loop at every length 1..130,
+    with terms sized so that `_slot_bits` lands on both sides of each slot
+    width's limit (1, 2, 4 and 8 bytes) and of the switch to `_toeplitz`."""
+
+    BITS = (7, 8, 15, 16, 31, 32, 55, 56, 63, 64)
+
+    def test_equals_double_loop_across_slot_widths(self):
+        rng = random.Random(3101)
+        for n in range(1, 131):
+            for bits in self.BITS:
+                # max|T| and max|a| of bt and ba bits, so bt + ba + bit_length(n) = bits
+                spare = bits - n.bit_length()
+                if spare < 2:
+                    continue
+                ba = rng.randint(1, spare - 1)
+                top_t, top_a = 2 ** (spare - ba) - 1, 2 ** ba - 1
+                # every term at its largest magnitude, so the middle terms come
+                # near the slot's limit, once of one sign and once of mixed signs
+                for signs in (lambda: 1, lambda: rng.choice((1, -1))):
+                    T = [signs() * top_t for _ in range(2 * n - 1)]
+                    a = [signs() * top_a for _ in range(n)]
+                    assert qseries._slot_bits(T, a) == bits
+                    assert qseries._middle(T, a) == toeplitz_double_loop(T, a), (n, bits)
 
 
 class TestFracSeries:
