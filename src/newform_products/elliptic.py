@@ -18,17 +18,17 @@ read from a table of squares mod p.
 The coefficient sequence f_n follows from the a_p by the Hecke recurrence
 at prime powers and multiplicativity in one pass over a smallest-prime-factor
 sieve.  Input models must be globally minimal, and a model that is not is
-refused (SingularCurve).  At p = 2 and 3 it is not minimal exactly when
-p^4 | c4, p^6 | c6 and (c4/p^4, c6/p^6) meet Kraus's conditions for the
-invariants of an integral model, so [0,0,8,-16,0], which is 37a rescaled
-by u = 2, is refused at p = 2.  At p >= 5 it is not minimal exactly when
-p^12 | gcd(c4^3, c6^2), decided by trial division up to 10^6; a model
-whose gcd keeps a factor that this bound cannot decide is refused too
-(ValueError).
+refused (SingularCurve).  It is not minimal at p exactly when p^4 | c4,
+p^6 | c6 and (c4/p^4, c6/p^6) meet Kraus's conditions for the invariants
+of an integral model, which at p >= 5 always hold; so [0,0,8,-16,0], 37a
+rescaled by u = 2, is refused at p = 2.  The primes come from trial
+division of gcd(c4^3, c6^2) up to 10^6; a model whose gcd keeps a factor
+that this bound cannot decide is refused too (ValueError).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -90,27 +90,8 @@ def curve_from_quintuple(a) -> Curve:
     disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     if disc == 0:
         raise SingularCurve(f"quintuple {list(a)} defines a singular curve")
-    _reject_nonminimal_at_2_and_3(c4, c6)
     _reject_nonminimal(c4, c6)
     return Curve(a1, a2, a3, a4, a6, b2, b4, b6, b8, c4, c6, disc)
-
-
-def _reject_nonminimal_at_2_and_3(c4: int, c6: int) -> None:
-    # not minimal at p exactly when (c4/p^4, c6/p^6) are the invariants of an
-    # integral model, which Kraus's conditions decide (Kraus, Acta Arith. 54
-    # (1989); Cremona, "Algorithms for Modular Elliptic Curves", 1997, 3.2)
-    for p in (2, 3):
-        if c4 % p ** 4 or c6 % p ** 6:
-            continue
-        c4p, c6p = c4 // p ** 4, c6 // p ** 6
-        if (
-            (c4p ** 3 - c6p ** 2) % 1728 == 0
-            and (c6p % 9 or c6p % 27 == 0)
-            and (c6p % 4 == 3 or (c4p % 16 == 0 and c6p % 32 in (0, 8)))
-        ):
-            raise SingularCurve(
-                f"model is not minimal at p={p} (Kraus's conditions hold for c4/p^4, c6/p^6)"
-            )
 
 
 # Trial divisors of gcd(c4^3, c6^2) stop here, so every gcd below
@@ -119,18 +100,17 @@ _MINIMALITY_TRIAL_BOUND = 10 ** 6
 
 
 def _reject_nonminimal(c4: int, c6: int) -> None:
-    # p >= 5 only; `_reject_nonminimal_at_2_and_3` has decided 2 and 3.
-    # As 1728 disc = c4^3 - c6^2, for p >= 5 "p^4 | c4 and p^12 | disc" is
-    # "p^4 | c4 and p^6 | c6", which is p^12 | gcd(c4^3, c6^2)
+    # not minimal at p exactly when p^4 | c4, p^6 | c6 and (c4/p^4, c6/p^6)
+    # are the invariants of an integral model, which Kraus's conditions decide
+    # (Kraus, Acta Arith. 54 (1989); Cremona, "Algorithms for Modular Elliptic
+    # Curves", 1997, 3.2).  "p^4 | c4 and p^6 | c6" is p^12 | gcd(c4^3, c6^2).
     g = math.gcd(c4 ** 3, c6 ** 2)
-    for p in (2, 3):
-        while g % p == 0:
-            g //= p
-    # trial division by d = 5, 7, 9, ...: each d that divides g is prime,
-    # as its prime factors were divided out before it.  Past the bound, a
-    # p^12 dividing g could only have p > bound, which is left undecided.
-    d = 5
-    while d ** 12 <= g:
+    # trial division by d = 2, 3, 5, 7, 9, ...: each d that divides g is
+    # prime, as its prime factors were divided out before it.  Past the bound,
+    # a p^12 dividing g could only have p > bound, which is left undecided.
+    for d in itertools.chain((2,), itertools.count(3, 2)):
+        if d ** 12 > g:
+            return
         if d > _MINIMALITY_TRIAL_BOUND:
             raise ValueError(
                 f"cannot decide minimality: gcd(c4^3, c6^2) keeps a {g.bit_length()}-bit "
@@ -139,12 +119,18 @@ def _reject_nonminimal(c4: int, c6: int) -> None:
             )
         if g % d == 0:
             if g % d ** 12 == 0:
-                raise SingularCurve(
-                    f"model is not minimal at p={d} (p^4 | c4 and p^12 | disc)"
-                )
+                c4p, c6p = c4 // d ** 4, c6 // d ** 6
+                if (
+                    (c4p ** 3 - c6p ** 2) % 1728 == 0
+                    and (c6p % 9 or c6p % 27 == 0)
+                    and (c6p % 4 == 3 or (c4p % 16 == 0 and c6p % 32 in (0, 8)))
+                ):
+                    raise SingularCurve(
+                        f"model is not minimal at p={d} "
+                        f"(Kraus's conditions hold for c4/p^4, c6/p^6)"
+                    )
             while g % d == 0:
                 g //= d
-        d += 2
 
 
 def count_points(c: Curve, p: int) -> int:

@@ -27,7 +27,6 @@ from newform_products.errors import (
     InternalIntegralityFailure,
     NonUnitConstantTerm,
     PrecisionExceeded,
-    SingularCurve,
 )
 from newform_products.eta import EtaQuotient, eta_signed
 from newform_products.products import (
@@ -161,16 +160,6 @@ def count_points_legendre(c, p: int) -> int:
     return n
 
 
-def reject_nonminimal_by_factoring(c4: int, disc: int) -> None:
-    """Raise SingularCurve at the smallest p >= 5 with p^4 | c4 and p^12 | disc,
-    found by factoring the whole |disc|."""
-    for p, e in factor(abs(disc)).factors:
-        if p >= 5 and e >= 12 and (c4 == 0 or c4 % p ** 4 == 0):
-            raise SingularCurve(
-                f"model is not minimal at p={p} (p^4 | c4 and p^12 | disc)"
-            )
-
-
 def substitute(quint, u, r, s, t) -> tuple:
     """The coefficients a_i' of the model reached by x = u^2 x' + r,
     y = u^3 y' + s u^2 x' + t, as Fractions (Silverman, AEC, Table 3.1)."""
@@ -189,12 +178,19 @@ def nonminimal_by_substitution(quint, p: int) -> bool:
     """Whether some substitution with u = p makes every a_i' integral.
     Following it by an integral one (1, r0, s0, t0) moves s by p s0, r by
     p^2 r0 and t by p^3 t0 + s p^2 r0, so s mod p, r mod p^2 and t mod p^3
-    reach every substitution with u = p."""
+    reach every substitution with u = p.  a1' depends on s alone, a2' on
+    (r, s) and a3' on (r, t), so a choice is dropped as soon as one of them
+    is not integral: no such choice makes all five integral, and the check
+    of all five is still made on every choice that is kept."""
+    a1, a2, a3, _, _ = quint
     return any(
         all(a.denominator == 1 for a in substitute(quint, p, r, s, t))
         for s in range(p)
+        if (a1 + 2 * s) % p == 0
         for r in range(p * p)
+        if (a2 - s * a1 + 3 * r - s * s) % p ** 2 == 0
         for t in range(p ** 3)
+        if (a3 + r * a1 + 2 * t) % p ** 3 == 0
     )
 
 
