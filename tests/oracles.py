@@ -27,6 +27,7 @@ from newform_products.errors import (
     InternalIntegralityFailure,
     NonUnitConstantTerm,
     PrecisionExceeded,
+    SingularCurve,
 )
 from newform_products.eta import EtaQuotient, eta_signed
 from newform_products.products import (
@@ -158,6 +159,16 @@ def count_points_legendre(c, p: int) -> int:
         d = (c.a1 * x + c.a3) ** 2 + 4 * (x ** 3 + c.a2 * x * x + c.a4 * x + c.a6)
         n += chi[d % p]
     return n
+
+
+def reject_nonminimal_by_factoring(c4: int, disc: int) -> None:
+    """Raise SingularCurve at the smallest p >= 5 with p^4 | c4 and p^12 | disc,
+    found by factoring the whole |disc|."""
+    for p, e in factor(abs(disc)).factors:
+        if p >= 5 and e >= 12 and (c4 == 0 or c4 % p ** 4 == 0):
+            raise SingularCurve(
+                f"model is not minimal at p={p} (p^4 | c4 and p^12 | disc)"
+            )
 
 
 def substitute(quint, u, r, s, t) -> tuple:

@@ -34,6 +34,7 @@ from oracles import (
     legendre,
     nonminimal_by_substitution,
     primes_upto,
+    reject_nonminimal_by_factoring,
     substitute,
 )
 
@@ -116,6 +117,15 @@ class TestInvariants:
             curve_from_quintuple((1, 0, 0, 0, 0))
 
 
+def _refused_at(rule, *args):
+    """The prime named by rule's SingularCurve, or None if it accepts."""
+    try:
+        rule(*args)
+    except SingularCurve as e:
+        return int(re.match(r"model is not minimal at p=(\d+) ", str(e))[1])
+    return None
+
+
 def _rescaled(quint, u):
     """The model with a_i replaced by u^i a_i (non-minimal at every p | u)."""
     return tuple(a * u ** i for a, i in zip(quint, (1, 2, 3, 4, 6)))
@@ -176,6 +186,53 @@ class TestMinimality:
             assert refused_at == p, quint
             seen[p] += 1
         assert min(seen[p] for p in (2, 3, 5, 7, None)) >= 30, seen
+
+    def test_2_and_3_agree_with_substitution_search(self, monkeypatch):
+        # the rule at 2 and 3 against a search for an integral model at u = p,
+        # on random models moved by (r, s, t) and rescaled by u in {1, 2, 3, 6}
+        rule = elliptic._reject_nonminimal
+        monkeypatch.setattr(elliptic, "_reject_nonminimal", lambda c4, c6: None)
+        rng = random.Random(1989)
+        seen = {2: 0, 3: 0, None: 0}
+        while sum(seen.values()) < 300:
+            r, s, t, *quint = (rng.randint(-9, 9) for _ in range(8))
+            moved = [int(a) for a in substitute(quint, 1, r, s, t)]
+            quint = _rescaled(moved, rng.choice((1, 1, 2, 3, 6)))
+            try:
+                c = curve_from_quintuple(quint)
+            except SingularCurve:
+                continue
+            p = next((p for p in (2, 3) if nonminimal_by_substitution(quint, p)), None)
+            assert _refused_at(rule, c.c4, c.c6) == p, quint
+            seen[p] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_agrees_with_factoring_rule(self, monkeypatch):
+        # the rule against two stages: the substitution search at 2 and 3,
+        # then p^4 | c4 and p^12 | disc at p >= 5 read off the factored disc
+        rule = elliptic._reject_nonminimal
+        rng = random.Random(2718)
+        rules = {"parent": [], "gcd": []}
+        while len(rules["parent"]) < 300:
+            quint = _rescaled(
+                [rng.randint(-9, 9) for _ in range(5)], rng.choice((1, 1, 2, 3, 5, 6, 7, 10))
+            )
+            with monkeypatch.context() as m:
+                m.setattr(elliptic, "_reject_nonminimal", lambda c4, c6: None)
+                try:
+                    c = curve_from_quintuple(quint)
+                except SingularCurve:
+                    continue
+            p = next((p for p in (2, 3) if nonminimal_by_substitution(quint, p)), None)
+            if p is None:
+                p = _refused_at(reject_nonminimal_by_factoring, c.c4, c.disc)
+            rules["parent"].append(p)
+            rules["gcd"].append(_refused_at(rule, c.c4, c.c6))
+        assert rules["gcd"] == rules["parent"]
+        # every stage is compared: at p = 2, 3, 5 and 7, and on minimal models,
+        # and more than 100 models get past the stage at p >= 5
+        assert set(rules["parent"]) >= {2, 3, 5, 7, None}
+        assert sum(p is None or p < 5 for p in rules["parent"]) > 100
 
     def test_large_5_part_rejected_at_5(self):
         with pytest.raises(SingularCurve, match="not minimal at p=5 "):
