@@ -9,6 +9,11 @@ machines.  `_sequence` renders the indexed sequences of `an` and
 deterministic for identical inputs; big integers are always serialized as
 decimal strings.
 
+`main` writes the document to sys.stdout, or to `out` if given, and
+flushes it before it returns, so a failed write raises inside `main`.  A
+write-through stream (sys.stdout under python -u or PYTHONUNBUFFERED) is
+buffered while the document is written and restored afterwards.
+
 Exit codes: 0 ok, 1 verification violation, 2 input/environment error.
 """
 
@@ -41,6 +46,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
+CURVE_HELP = "a1,a2,a3,a4,a6; write --curve=a1,... when a1 < 0"
+
 BOUNDED_SEARCH_NOTE = (
     "bounded-search result: absence of a match within these bounds is not a "
     "nonexistence claim"
@@ -59,6 +66,25 @@ def unlimited_int_digits():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@contextmanager
+def buffered_writes(stream):
+    """The stream, with write-through off while the body runs, flushed at its end.
+
+    Under python -u or PYTHONUNBUFFERED, sys.stdout writes through, and each
+    write of the json encoder would be a write(2) of its own; buffered, the
+    writes go out in chunks of about 8 KB.
+    """
+    write_through = getattr(stream, "write_through", False)
+    if write_through:
+        stream.reconfigure(write_through=False)
+    try:
+        yield stream
+        stream.flush()
+    finally:
+        if write_through:
+            stream.reconfigure(write_through=True)
 
 
 def _parse_quintuple(text: str) -> tuple[int, ...]:
@@ -411,12 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("an", help="newform coefficients f_n from a curve")
-    p.add_argument("--curve", required=True, help="a1,a2,a3,a4,a6")
+    p.add_argument("--curve", required=True, help=CURVE_HELP)
     p.add_argument("--order", type=int, default=20)
     p.set_defaults(func=cmd_an)
 
     p = sub.add_parser("exponents", help="product exponents g_n and block shape")
-    p.add_argument("--curve", required=True, help="a1,a2,a3,a4,a6")
+    p.add_argument("--curve", required=True, help=CURVE_HELP)
     p.add_argument("--order", type=int, default=14)
     p.set_defaults(func=cmd_exponents)
 
@@ -438,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-r", type=int, default=6)
     p.add_argument("--max-t", type=int, default=8)
     p.add_argument("--order", type=int, default=30)
-    p.add_argument("--target", default=None, help="a1,a2,a3,a4,a6 of the target curve")
+    p.add_argument("--target", default=None,
+                   help="a1,a2,a3,a4,a6 of the target curve; write --target=a1,... when a1 < 0")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("etaquotient", help="classical eta-quotient search per level")
@@ -457,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 @unlimited_int_digits()
 def main(argv=None, out=None) -> int:
-    out = out or sys.stdout
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -472,7 +498,8 @@ def main(argv=None, out=None) -> int:
         print("error: not enough memory for this input; try a smaller --order",
               file=sys.stderr)
         return EXIT_USAGE
-    _emit(doc, args.format, out)
+    with buffered_writes(sys.stdout if out is None else out) as stream:
+        _emit(doc, args.format, stream)
     return _status_exit(doc)
 
 

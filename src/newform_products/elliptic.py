@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import is_prime, smallest_prime_factors
 from .errors import InternalIntegralityFailure, SingularCurve
@@ -48,8 +48,7 @@ ADDITIVE = "additive"
 _MESTRE_BOUND = 229
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     a1: int
     a2: int
     a3: int
@@ -68,8 +67,7 @@ class Curve:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
 
-@dataclass(frozen=True)
-class ReductionInfo:
+class ReductionInfo(NamedTuple):
     prime: int
     kind: str
     ap: int

@@ -14,7 +14,6 @@ on the Euler product must equal sigma_1(m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .products import (
@@ -24,22 +23,22 @@ from .products import (
     _logder_coefficients,
     unit_product,
 )
-from .qseries import PowerSeries
+from .qseries import Frozen, PowerSeries
 from .theta import MonomialArg, theta_sum
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
+class EtaQuotient(Frozen):
     """Finite product prod_t eta(q^t)^{r_t}, stored as (t, r) terms, t ascending."""
 
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple[tuple[int, int], ...]):
         prev = 0
-        for t, r in self.terms:
+        for t, r in terms:
             if t <= prev or r == 0:
                 raise ValueError("terms must have ascending unique t and nonzero r")
             prev = t
+        super().__init__(terms)
 
     @property
     def weight_numerator(self) -> int:

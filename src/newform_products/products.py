@@ -19,7 +19,7 @@ a block on the t-grid solves a recurrence of length N/t, not N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BlockMismatch,
@@ -31,8 +31,7 @@ from .errors import (
 from .qseries import PowerSeries, _recurrence, _stride
 
 
-@dataclass(frozen=True)
-class ExponentSequence:
+class ExponentSequence(NamedTuple):
     """Exponents g_1..g_upto of the infinite-product form."""
 
     g: tuple
@@ -42,8 +41,7 @@ class ExponentSequence:
         return len(self.g)
 
 
-@dataclass(frozen=True)
-class BlockProfile:
+class BlockProfile(NamedTuple):
     """Result of reading an exponent sequence as r * a_{n/t} on the t-grid."""
 
     r_check: int

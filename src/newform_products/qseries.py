@@ -5,6 +5,10 @@ as Python ints.  Every binary operation truncates to the minimum of the
 input orders; no operation ever fabricates coefficients beyond what the
 inputs justify.  Inversion needs constant term +1 or -1.
 
+PowerSeries, `eta.EtaQuotient` and `theta.MonomialArg` are `Frozen`:
+immutable values, compared, hashed and pickled by their fields, that are
+not tuples.
+
 A fractional exponent appears only as an eta prefactor: q^e * S(q) is the
 pair (e, S), with e a Fraction, and `frac_mul` multiplies two such pairs.
 
@@ -36,7 +40,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from itertools import compress, islice
 from operator import add, mul, sub
 
@@ -45,13 +48,50 @@ from .errors import NonUnitConstantTerm
 _BLOCK = 32  # ranges this short are solved term by term
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    coeffs: tuple
+class Frozen:
+    """An immutable value whose fields are its __slots__, in constructor
+    order: compared, hashed, shown and pickled by those fields."""
 
-    def __post_init__(self):
-        if not self.coeffs:
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class PowerSeries(Frozen):
+    """Coefficients of q^0 .. q^(order-1), a tuple of ints."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        if not coeffs:
             raise ValueError("PowerSeries needs order >= 1")
+        super().__init__(coeffs)
 
     @property
     def order(self) -> int:

@@ -7,15 +7,14 @@ optional extension computed from point counting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .elliptic import an_expansion, curve_from_quintuple
 from .errors import TableMismatch
 from .products import block_profile, extract_exponents
 
 
-@dataclass(frozen=True)
-class BlockRecord:
+class BlockRecord(NamedTuple):
     conductor: int
     curves: tuple[tuple[int, int, int, int, int], ...]
     r_check: int
@@ -97,5 +96,5 @@ def extend_block(rec: BlockRecord, upto: int) -> BlockRecord:
             f"conductor {rec.conductor}: recomputed block {a[:12]} "
             f"contradicts printed {rec.a_printed[:12]}"
         )
-    return replace(rec, a_extended=a)
+    return rec._replace(a_extended=a)
 

@@ -23,8 +23,8 @@ mismatch whose first differing coefficient is zero in the candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .elliptic import an_expansion, curve_from_quintuple
 from .errors import PrecisionExceeded, UnknownLevel
@@ -47,8 +47,7 @@ OVERLAP_FLOOR = 20
 DEFAULT_ETA_EXPONENT_BOUND = 24
 
 
-@dataclass(frozen=True)
-class SearchCandidate:
+class SearchCandidate(NamedTuple):
     """A candidate decomposition: parts are (conductor, r_i, t_i), sorted."""
 
     parts: tuple[tuple[int, int, int], ...]
@@ -190,10 +189,10 @@ def match_against(
                 # that comparing nonzero coefficients first gave; the
                 # benchmark refresh deletes this branch and reports M
                 at = _first_nonzero_mismatch(exponents, target, at, overlap)
-            return replace(cand, verdict=MISMATCH, mismatch_at=at)
+            return cand._replace(verdict=MISMATCH, mismatch_at=at)
     if overlap - 1 < OVERLAP_FLOOR:
-        return replace(cand, verdict=UNDECIDED, match_order=overlap - 1)
-    return replace(cand, verdict=MATCH, match_order=overlap - 1)
+        return cand._replace(verdict=UNDECIDED, match_order=overlap - 1)
+    return cand._replace(verdict=MATCH, match_order=overlap - 1)
 
 
 def _first_nonzero_mismatch(

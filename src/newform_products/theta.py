@@ -26,31 +26,28 @@ identities once their prefactor q^(1/2) is divided out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
 from .elliptic import an_expansion, curve_from_quintuple
 from .errors import BlockMismatch
 from .products import ExponentSequence, unit_product
-from .qseries import PowerSeries
+from .qseries import Frozen, PowerSeries
 
 ETA256_CURVE = (0, 0, 0, -2, 0)
 
 
-@dataclass(frozen=True)
-class MonomialArg:
+class MonomialArg(Frozen):
     """sign * q^(num/den) with num/den > 0."""
 
-    sign: int
-    num: int
-    den: int = 1
+    __slots__ = ("sign", "num", "den")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, num: int, den: int = 1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +-1")
-        if self.num < 1 or self.den < 1:
+        if num < 1 or den < 1:
             raise ValueError("exponent must be positive")
+        super().__init__(sign, num, den)
 
     @property
     def exponent(self) -> Fraction:

@@ -16,7 +16,7 @@ substitution) serve only these routes, as `nonzero_items` does.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -400,18 +400,18 @@ def match_series(cand, series: tuple, target: PowerSeries):
         if e >= overlap:
             break
         if e.denominator != 1:
-            return replace(cand, verdict=MISMATCH, mismatch_at=e)
+            return cand._replace(verdict=MISMATCH, mismatch_at=e)
         n = int(e)
         if target.coeffs[n] != c:
-            return replace(cand, verdict=MISMATCH, mismatch_at=e)
+            return cand._replace(verdict=MISMATCH, mismatch_at=e)
     # zero coefficients of the series against nonzero target entries
     for n in range(1, overlap):
         c = coeff_at(series, n)
         if c != target.coeffs[n]:
-            return replace(cand, verdict=MISMATCH, mismatch_at=Fraction(n))
+            return cand._replace(verdict=MISMATCH, mismatch_at=Fraction(n))
     if overlap - 1 < OVERLAP_FLOOR:
-        return replace(cand, verdict=UNDECIDED, match_order=overlap - 1)
-    return replace(cand, verdict=MATCH, match_order=overlap - 1)
+        return cand._replace(verdict=UNDECIDED, match_order=overlap - 1)
+    return cand._replace(verdict=MATCH, match_order=overlap - 1)
 
 
 def _pair(series) -> tuple:

@@ -1,7 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import csv
-import dataclasses
 import importlib.util
 import io
 import json
@@ -66,6 +65,15 @@ class TestAn:
         assert code == EXIT_OK
         assert json.loads(text)["results"]["coefficients"] == [
             "1", "-1", "-2", "1", "0", "2", "1", "-1", "1", "0", "0", "-2", "-4"]
+
+    def test_negative_a1_in_equals_form(self, capsys):
+        # [-1,0,-1,4,-6] is 14a under y -> -y - a1*x - a3; a separate value
+        # starting with "-" is read as an option
+        code, text = run("an", "--curve=-1,0,-1,4,-6", "--order", "14")
+        assert code == EXIT_OK
+        assert text == run("an", "--curve", "1,0,1,4,-6", "--order", "14")[1]
+        assert run("an", "--curve", "-1,0,-1,4,-6")[0] == EXIT_USAGE
+        assert "expected one argument" in capsys.readouterr().err
 
     def test_large_discriminant_returns(self):
         # the minimality check must not factor this ~38-digit discriminant
@@ -191,7 +199,7 @@ class TestTable1Failure:
     def altered_table(self, monkeypatch):
         rows = builtin_table1()[:2]
         a = rows[1].a_printed
-        rows[1] = dataclasses.replace(rows[1], a_printed=(a[0] + 1,) + a[1:])
+        rows[1] = rows[1]._replace(a_printed=(a[0] + 1,) + a[1:])
         monkeypatch.setattr(cli, "builtin_table1", lambda: rows)
 
     def test_plain(self):
@@ -606,6 +614,29 @@ class TestBenchVerifyCommands:
             assert workloads.reference_record(code, doc) == references[key], key
             if anchors:
                 assert workloads.anchor_error(argv, doc) is None, key
+
+    def test_unbuffered_stdout_written_in_8k_chunks(self, bench, monkeypatch):
+        # sys.stdout under python -u or PYTHONUNBUFFERED writes through
+        class CountingWriter(io.RawIOBase):
+            writes = 0
+            data = b""
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                self.writes += 1
+                self.data += bytes(b)
+                return len(b)
+
+        raw = CountingWriter()
+        stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        argv = bench[0].search_argv(37, "full")
+        assert main(list(argv)) == EXIT_OK
+        assert raw.data == run(*argv)[1].encode("utf-8")
+        assert raw.writes <= len(raw.data) // 8192 + 2
+        assert stdout.write_through
 
     def test_full_size_match_references(self, bench):
         self.check(bench, "full", anchors=True)

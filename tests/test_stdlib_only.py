@@ -1,7 +1,9 @@
 """The package is pure Python on the standard library."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "newform_products"
@@ -27,3 +29,13 @@ def test_imports_only_stdlib():
         if name not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+def test_cold_import_leaves_out_dataclasses_and_inspect():
+    # a fresh interpreter, since tests/oracles.py uses dataclasses itself
+    slow = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, newform_products.cli; print(*(m for m in {slow!r} if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
