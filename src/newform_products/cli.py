@@ -10,7 +10,8 @@ deterministic for identical inputs; big integers are always serialized as
 decimal strings.
 
 `main` writes the document to sys.stdout, or to `out` if given, and
-flushes it before it returns, so a failed write raises inside `main`.  A
+flushes it before it returns, so a failed write raises inside `main`; a
+reader that closes the stream early gets exit 2, not a traceback.  A
 write-through stream (sys.stdout under python -u or PYTHONUNBUFFERED) is
 buffered while the document is written and restored afterwards.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import NamedTuple
@@ -34,7 +36,6 @@ from .products import block_profile, extract_exponents, infer_block
 from .qseries import PowerSeries
 from .registry import builtin_table1, extend_block
 from .search import (
-    DEFAULT_ETA_EXPONENT_BOUND,
     assemble,
     enumerate_candidates,
     eta_quotient_search,
@@ -366,9 +367,7 @@ def cmd_search(args) -> dict:
 def cmd_etaquotient(args) -> dict:
     if args.order < 3:
         raise ValueError(f"etaquotient needs --order >= 3, got {args.order}")
-    if args.max_exponent < 1:
-        raise ValueError(f"etaquotient needs --max-exponent >= 1, got {args.max_exponent}")
-    quotients = eta_quotient_search(args.level, args.order, args.max_exponent)
+    quotients = eta_quotient_search(args.level, args.order)
     entries = [
         {"terms": [list(t) for t in eq.terms], "display": str(eq)} for eq in quotients
     ]
@@ -376,7 +375,7 @@ def cmd_etaquotient(args) -> dict:
     lines.append(BOUNDED_SEARCH_NOTE)
     return _document(
         "etaquotient",
-        {"level": args.level, "order": args.order, "max_exponent": args.max_exponent},
+        {"level": args.level, "order": args.order},
         {
             "quotients": entries,
             "note": BOUNDED_SEARCH_NOTE,
@@ -471,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("etaquotient", help="classical eta-quotient search per level")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--order", type=int, default=30)
-    p.add_argument("--max-exponent", type=int, default=DEFAULT_ETA_EXPONENT_BOUND)
     p.set_defaults(func=cmd_etaquotient)
 
     p = sub.add_parser("verify-all", help="one-shot offline verification suite")
@@ -498,8 +496,16 @@ def main(argv=None, out=None) -> int:
         print("error: not enough memory for this input; try a smaller --order",
               file=sys.stderr)
         return EXIT_USAGE
-    with buffered_writes(sys.stdout if out is None else out) as stream:
-        _emit(doc, args.format, stream)
+    stream = sys.stdout if out is None else out
+    try:
+        with buffered_writes(stream):
+            _emit(doc, args.format, stream)
+    except BrokenPipeError:
+        if stream is sys.stdout:
+            # the interpreter's flush at exit would hit the closed pipe again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before the document was written", file=sys.stderr)
+        return EXIT_USAGE
     return _status_exit(doc)
 
 

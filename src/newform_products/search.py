@@ -17,7 +17,7 @@ exponent space: `assemble` sums the parts' exponents into G with no series
 expansion, and `match_against` compares G with the target's exponents g,
 extracted once per search.  The series is expanded only to place a
 mismatch whose first differing coefficient is zero in the candidate.
-`eta_quotient_search` reads a quotient off g alone, by extraction's Moebius sieve.
+`eta_quotient_search` reads off g, by Moebius inversion, the one possible quotient.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ MISMATCH = "mismatch"
 UNDECIDED = "undecided"
 
 OVERLAP_FLOOR = 20
-DEFAULT_ETA_EXPONENT_BOUND = 24
 
 
 class SearchCandidate(NamedTuple):
@@ -216,14 +215,9 @@ def _first_nonzero_mismatch(
         start, k = k, 2 * k
 
 
-def eta_quotient_search(
-    level: int,
-    order: int,
-    exponent_bound: int = DEFAULT_ETA_EXPONENT_BOUND,
-) -> list[EtaQuotient]:
-    """All classical eta quotients with scales t | level, sum r = 4,
-    sum t*r = 24, |r| <= exponent_bound, matching the level's registry
-    newform to the given order.
+def eta_quotient_search(level: int, order: int) -> list[EtaQuotient]:
+    """At most one classical eta quotient, with scales t | level, sum r = 4
+    and sum t*r = 24, matching the level's registry newform to the order.
 
     A quotient has g_n = sum_{t|n} r_t, so Moebius inversion of the target's
     g_n gives the only candidate r, which must vanish off the divisors of
@@ -237,8 +231,6 @@ def eta_quotient_search(
     if any(r[n] for n in range(1, len(r)) if level % n):
         return []
     eq = EtaQuotient(tuple((t, r[t]) for t in range(1, len(r)) if r[t]))
-    if any(abs(rt) > exponent_bound for _, rt in eq.terms):
-        return []
     if eq.weight_numerator != 4 or eq.leading_exponent != 1:
         return []
     return [eq]

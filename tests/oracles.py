@@ -334,9 +334,7 @@ def eta_quotient_series_by_powers(eq: EtaQuotient, order: int) -> tuple:
     return result
 
 
-def eta_quotient_by_divisors(
-    g: ExponentSequence, level: int, exponent_bound: int
-) -> list[EtaQuotient]:
+def eta_quotient_by_divisors(g: ExponentSequence, level: int) -> list[EtaQuotient]:
     """The eta quotients that eta_quotient_search accepts for the exponents g
     at this level, solved divisor by divisor: r_t = g_t - sum_{d|t, d<t} r_d
     for each t | level, then the quotient is re-expanded and compared with
@@ -348,8 +346,6 @@ def eta_quotient_by_divisors(
         r[t] = g.g[t - 1] - sum(r[d] for d in divisors(t) if d != t)
     eq = EtaQuotient(tuple((t, rt) for t, rt in r.items() if rt != 0))
     if eq.exponents(g.upto + 1)[1:] != list(g.g):
-        return []
-    if any(abs(rt) > exponent_bound for _, rt in eq.terms):
         return []
     if eq.weight_numerator != 4 or eq.leading_exponent != 1:
         return []

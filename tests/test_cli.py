@@ -4,7 +4,9 @@ import csv
 import importlib.util
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from newform_products.registry import builtin_table1, record_for
 from newform_products.theta import MonomialArg, theta_sum
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*argv):
@@ -483,11 +486,12 @@ class TestEtaQuotient:
         code, text = run("etaquotient", "--level", "36", "--order", "3")
         assert code == EXIT_OK and "no eta quotient within bounds" in text
 
-    @pytest.mark.parametrize("bound", ["0", "-1"])
-    def test_max_exponent_below_1_exit_2(self, bound, capsys):
+    @pytest.mark.parametrize("bound", ["0", "-1", "3", "24"])
+    def test_max_exponent_not_an_option(self, bound, capsys):
+        # the quotient is solved exactly, so no exponent bound can hide it
         code, text = run("etaquotient", "--level", "36", "--max-exponent", bound)
         assert code == EXIT_USAGE and text == ""
-        assert "--max-exponent >= 1" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVerifyAll:
@@ -647,3 +651,35 @@ class TestBenchVerifyCommands:
         # are only "undecided" (overlap 19 is below the floor of 20).  That
         # is the open smoke-search defect in CHANGES.md, not a rendering one.
         self.check(bench, "smoke", anchors=False)
+
+
+class TestClosedOutput:
+    """A reader that closes the output early gets a usage exit, not a traceback."""
+
+    ARGV = ["exponents", "--curve", "0,0,1,-1,0", "--order", "300", "--format", "json"]
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_pipe_exit_2(self, unbuffered):
+        # about 115 KB of json, well past a 64 KB pipe buffer, read 50 bytes in
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "newform_products", *self.ARGV],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(50)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_USAGE
+        assert head.startswith(b"{")
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err.count("error:") == 1
+
+    def test_caller_stream_that_breaks_exit_2(self, capsys):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        assert main(self.ARGV, out=Closed()) == EXIT_USAGE
+        assert capsys.readouterr().err.count("error:") == 1

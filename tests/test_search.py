@@ -15,6 +15,7 @@ from newform_products import cli, search
 from newform_products.cli import main
 from newform_products.elliptic import an_expansion, curve_from_quintuple
 from newform_products.errors import PrecisionExceeded, UnknownLevel
+from newform_products.eta import EtaQuotient
 from newform_products.products import ExponentSequence, extract_exponents, unit_product
 from newform_products.qseries import PowerSeries, frac_mul
 from newform_products.registry import builtin_table1, extend_block, record_for
@@ -516,8 +517,14 @@ class TestEtaQuotientSearch:
         with pytest.raises(UnknownLevel):
             eta_quotient_search(1, 20)
 
-    def test_tight_exponent_bound_excludes(self):
-        assert eta_quotient_search(36, 30, exponent_bound=3) == []
+    def test_large_exponent_reported(self, monkeypatch):
+        # eta(t)^9 eta(2t)^-30 eta(3t)^25 has sum r = 4 and sum t*r = 24; the
+        # Moebius solve finds it however large its exponents are
+        terms = ((1, 9), (2, -30), (3, 25))
+        g = ExponentSequence(tuple(EtaQuotient(terms).exponents(30)[1:]))
+        monkeypatch.setattr(search, "record_for", lambda n: SimpleNamespace(curves=((0, 0, 1, -1, 0),)))
+        monkeypatch.setattr(search, "extract_exponents", lambda f: g)
+        assert [q.terms for q in eta_quotient_search(6, 30)] == [terms]
 
     @pytest.mark.parametrize("n", [5, None])
     def test_exponent_off_the_pattern_excludes(self, monkeypatch, n):
@@ -539,18 +546,17 @@ class TestEtaQuotientDifferential:
     re-expansion check (tests/oracles.py), on the same extracted exponents."""
 
     @staticmethod
-    def _agrees(level, order, bound):
+    def _agrees(level, order):
         rec = search.record_for(level)
         g = extract_exponents(an_expansion(curve_from_quintuple(rec.curves[0]), order))
-        found = eta_quotient_search(level, order, bound)
-        assert found == eta_quotient_by_divisors(g, level, bound), (level, order, bound)
+        found = eta_quotient_search(level, order)
+        assert found == eta_quotient_by_divisors(g, level), (level, order)
         return found
 
     @pytest.mark.parametrize("order", [3, 4, 7, 13, 30, 60])
     def test_registry_levels(self, order):
         for rec in builtin_table1():
-            for bound in (1, 3, 4, 24):
-                self._agrees(rec.conductor, order, bound)
+            self._agrees(rec.conductor, order)
 
     @pytest.mark.parametrize("level", sorted(MARTIN_ONO))
     def test_martin_ono_models(self, monkeypatch, level):
@@ -558,6 +564,6 @@ class TestEtaQuotientDifferential:
         # 2 * level, whose divisors include every scale, and never at level + 1
         quintuple, terms = MARTIN_ONO[level]
         monkeypatch.setattr(search, "record_for", lambda n: SimpleNamespace(curves=(quintuple,)))
-        assert [q.terms for q in self._agrees(level, 200, 24)] == [terms]
-        assert [q.terms for q in self._agrees(2 * level, 200, 24)] == [terms]
-        assert self._agrees(level + 1, 200, 24) == []
+        assert [q.terms for q in self._agrees(level, 200)] == [terms]
+        assert [q.terms for q in self._agrees(2 * level, 200)] == [terms]
+        assert self._agrees(level + 1, 200) == []
