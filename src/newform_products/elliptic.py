@@ -3,18 +3,25 @@
 At every prime p, a_p = p + 1 - #E~(F_p), where E~ is the reduction of the
 model mod p and the count includes its singular point if it has one.  On a
 model minimal at p this gives a_p at good p and 1, -1, 0 at split,
-nonsplit, additive p.  The count has three regimes.  At a good p > 229
-it is found by Shanks-Mestre baby-step/giant-step on points of E and of
-its quadratic twist, in O(p^(1/4)) group operations per point: Mestre's
-theorem makes #E(F_p) the one value in the Hasse interval that those point
-orders allow for every p > 229 (Cohen, "A Course in Computational Algebraic
-Number Theory", GTM 138, section 7.4.3; Schoof, "Counting points on
-elliptic curves over finite fields", J. Theor. Nombres Bordeaux 7 (1995)).
-At p = 2 every (x, y) is tried.  At odd p <= 229, where the theorem does
-not hold, and at bad p, where the singular point must be counted,
-completing the square gives y^2 = d(x) = 4x^3 + b2*x^2 + 2*b4*x + b6, and
-the count is 1 plus the number of square roots of d(x) mod p over all x,
-read from a table of squares mod p.
+nonsplit, additive p.  The count has four regimes.  At a good p >= 5 on
+a model with c4 = 0 (j = 0) or c6 = 0 (j = 1728), E has complex
+multiplication and a_p has a closed form: 0 where p is inert in Z[i],
+resp. Z[w], and otherwise the trace of a Hecke character value at a
+primary prime pi over p, found by Cornacchia's algorithm (Ireland & Rosen,
+"A Classical Introduction to Modern Number Theory", GTM 84, Ch. 18,
+sections 3-4; Deuring 1941); no point is counted.  At any other good
+p > 229 the count is found by Shanks-Mestre baby-step/giant-step on points
+of E and of its quadratic twist, in O(p^(1/4)) group operations per point:
+Mestre's theorem makes #E(F_p) the one value in the Hasse interval that
+those point orders allow for every p > 229 (Cohen, "A Course in
+Computational Algebraic Number Theory", GTM 138, section 7.4.3; Schoof,
+"Counting points on elliptic curves over finite fields", J. Theor. Nombres
+Bordeaux 7 (1995)).  At p = 2 every (x, y) is tried.  At p = 3 and the
+other odd p <= 229, where the theorem does not hold, and at bad p, where
+the singular point must be counted, completing the square gives
+y^2 = d(x) = 4x^3 + b2*x^2 + 2*b4*x + b6, and the count is 1 plus the
+number of square roots of d(x) mod p over all x, read from a table of
+squares mod p.
 The coefficient sequence f_n follows from the a_p by the Hecke recurrence
 at prime powers and multiplicativity in one pass over a smallest-prime-factor
 sieve.  Input models must be globally minimal, and a model that is not is
@@ -30,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import is_prime, smallest_prime_factors
@@ -135,7 +141,9 @@ def count_points(c: Curve, p: int) -> int:
     """#E~(F_p): affine solutions mod p, a singular one included, plus infinity.
 
     The regimes are described in the module docstring: exhaustive at p = 2,
-    `_count_bsgs` at good p > 229, and a table of squares mod p elsewhere.
+    the closed form `_count_cm` at good p >= 5 when c4 = 0 or c6 = 0,
+    `_count_bsgs` at other good p > 229, and a table of squares mod p
+    elsewhere.
     """
     if not is_prime(p):
         raise ValueError(f"count_points needs a prime, got {p}")
@@ -147,6 +155,8 @@ def count_points(c: Curve, p: int) -> int:
             if (y * y + c.a1 * x * y + c.a3 * y - (x ** 3 + c.a2 * x * x + c.a4 * x + c.a6)) % 2
             == 0
         )
+    if p > 3 and c.disc % p and not (c.c4 and c.c6):
+        return _count_cm(c, p)
     if p > _MESTRE_BOUND and c.disc % p:
         return _count_bsgs(-27 * c.c4 % p, -54 * c.c6 % p, p)
     roots = bytearray(p)  # roots[v] = #{y mod p : y^2 = v}
@@ -154,6 +164,58 @@ def count_points(c: Curve, p: int) -> int:
     for y in range(1, p // 2 + 1):
         roots[y * y % p] = 2
     return 1 + sum(roots[(((4 * x + c.b2) * x + 2 * c.b4) * x + c.b6) % p] for x in range(p))
+
+
+def _count_cm(c: Curve, p: int) -> int:
+    """#E(F_p) at a good p >= 5 on a model with c6 = 0 (j = 1728) or c4 = 0 (j = 0).
+
+    E has complex multiplication by Z[z], z = i with z^2 = -1 (j = 1728) or
+    z = -w^2 with z^2 = z - 1 (j = 0, w a cube root of unity), a unit of
+    order n = 4 or 6, and a_p is the trace of a Hecke character value
+    (Ireland & Rosen, "A Classical Introduction to Modern Number Theory",
+    GTM 84, Ch. 18, sections 3-4; Deuring 1941).  Over F_p, E is
+    y^2 = x^3 - 27*c4*x - 54*c6.  If p is inert in Z[z] (p = 3 mod 4, resp.
+    2 mod 3), a_p = 0.  Otherwise p = N(pi) for pi = a + b*z, found by
+    Cornacchia from a square root of -1, resp. of -3 = (2z - 1)^2, at a
+    primitive n-th root of unity mod p, and pi is turned through its n
+    associates until it is primary: pi = 1 mod 2 + 2i, resp. mod 3.  Then
+    chi = (27*c4)^((p-1)/4), resp. (-216*c6)^((p-1)/6) mod p, is the
+    power z^k with z = -a/b mod pi, and a_p = 2*Re(conj(chi)*pi) =
+    Tr(z^(-k)*pi).  (Ireland & Rosen take pi = 2 mod 3 at j = 0 and
+    a_p = -2*Re(conj(chi)*pi), the same value.)
+    """
+    if c.c6 == 0:
+        n, e, d, D = 4, 0, 1, 27 * c.c4
+    else:
+        n, e, d, D = 6, 1, 3, -216 * c.c6
+    if p % n != 1:
+        return p + 1
+    # the first g whose power r has order n: when n = 6 a non-residue g can
+    # be a cube, so that r^2 = 1 (g = 2 at p = 43, g = 3 at p = 103)
+    for g in itertools.count(2):
+        r = pow(g, (p - 1) // n, p)
+        if r * r % p != 1 and pow(r, n // 2, p) != 1:
+            break
+    # Cornacchia: x^2 + d*y^2 = p from x0^2 = -d mod p
+    x, y = p, (2 * r - 1) % p if e else r
+    while y * y > p:
+        x, y = y, x % y
+    x, y = y, math.isqrt((p - y * y) // d)
+    if x * x + d * y * y != p:
+        raise InternalIntegralityFailure(f"Cornacchia found no norm form for p={p}")
+    a, b = (x - y, 2 * y) if e else (x, y)  # x + y*sqrt(-d) in the basis 1, z
+    for _ in range(n):
+        if (a % 3, b % 3) == (1, 0) if e else (b % 2, (a + b) % 4) == (0, 1):
+            break
+        a, b = -b, a + e * b  # times z
+    z = -a * pow(b, -1, p) % p
+    chi, zk = pow(D, (p - 1) // n, p), 1
+    for _ in range(n):
+        if zk == chi:
+            return p + 1 - (2 * a + e * b)
+        zk = zk * z % p
+        a, b = e * a + b, -a  # times z^(-1) = e - z
+    raise InternalIntegralityFailure(f"no power of z mod p={p} equals {chi}")
 
 
 def _count_bsgs(A: int, B: int, p: int) -> int:
@@ -246,11 +308,6 @@ def reduction_at(c: Curve, p: int) -> ReductionInfo:
     return ReductionInfo(p, {1: MULT_SPLIT, -1: MULT_NONSPLIT, 0: ADDITIVE}[ap], ap)
 
 
-@lru_cache(maxsize=None)
-def _cached_reduction(c: Curve, p: int) -> ReductionInfo:
-    return reduction_at(c, p)
-
-
 def an_expansion(c: Curve, order: int) -> PowerSeries:
     """Newform q-expansion sum f_n q^n to the given truncation order.
 
@@ -272,7 +329,7 @@ def an_expansion(c: Curve, order: int) -> PowerSeries:
         if pe[n] != n:
             f[n] = f[pe[n]] * f[n // pe[n]]
         elif m == 1:
-            f[n] = _cached_reduction(c, p).ap
+            f[n] = reduction_at(c, p).ap
         else:
             f[n] = f[p] * f[m] - (p if c.disc % p else 0) * f[m // p]
     return PowerSeries(tuple(f))

@@ -1,6 +1,5 @@
 """Point counting, reduction classification, and coefficient expansion."""
 
-import functools
 import math
 import random
 import re
@@ -79,6 +78,19 @@ RANDOM_QUINTUPLES = _random_quintuples(40)
 COUNTING_MODELS = list(dict.fromkeys(
     [rec.curves[0] for rec in builtin_table1()] + [q for q, _ in MARTIN_ONO.values()]
 ))
+
+
+# every j = 0 and j = 1728 model the tests know: both curves of each such
+# table row, the Martin-Ono models with c4*c6 = 0, and four twists from the
+# families y^2 = x^3 + A*x and y^2 = x^3 + D
+CM_MODELS = [
+    c.quintuple
+    for c in map(curve_from_quintuple, dict.fromkeys(
+        ALL_CURVES + [q for q, _ in MARTIN_ONO.values()]
+        + [(0, 0, 0, -7, 0), (0, 0, 0, 13, 0), (0, 0, 0, 0, 9), (0, 0, 0, 0, -11)]
+    ))
+    if not (c.c4 and c.c6)
+]
 
 
 def _wide_curves(count, seed=4096):
@@ -314,11 +326,13 @@ class TestCounting:
     def test_no_legendre_call(self, monkeypatch):
         # the per-x Legendre route must not come back; `legendre` is a test
         # oracle, and test_no_oracle_shares_a_library_name keeps that name
-        # out of the library.  A fresh reduction cache, so that the points
-        # are really counted
-        monkeypatch.setattr(elliptic, "_cached_reduction", functools.lru_cache(
-            elliptic._cached_reduction.__wrapped__))
+        # out of the library.  The recorder shows that every prime's
+        # reduction is really computed
+        asked = []
+        reduce = elliptic.reduction_at
+        monkeypatch.setattr(elliptic, "reduction_at", lambda c, p: asked.append(p) or reduce(c, p))
         f = an_expansion(curve_from_quintuple((0, 0, 1, -1, 0)), 500)
+        assert asked == primes_upto(499)
         assert f.coeffs[1:11] == (1, -2, -3, 2, -2, 6, -1, 0, 6, 4)
 
     def test_hasse_bound(self):
@@ -334,6 +348,43 @@ class TestCounting:
         monkeypatch.setattr(elliptic, "count_points", lambda curve, p: p + 1 + 2 * p)
         with pytest.raises(InternalIntegralityFailure, match="Hasse"):
             reduction_at(c, 5)
+
+
+class TestClosedForm:
+    """The Hecke-character a_p on j = 0 and j = 1728 models, against the
+    route that every other curve takes."""
+
+    @pytest.mark.parametrize("quint", CM_MODELS, ids=str)
+    def test_equals_general_route_below_10000(self, quint):
+        c = curve_from_quintuple(quint)
+        for p in primes_upto(9999)[2:]:
+            if c.disc % p:
+                if p > elliptic._MESTRE_BOUND:
+                    ref = elliptic._count_bsgs(-27 * c.c4 % p, -54 * c.c6 % p, p)
+                else:
+                    ref = count_points_legendre(c, p)
+                assert count_points(c, p) == ref, p
+
+    @pytest.mark.parametrize(
+        "quint, p",
+        # at 13 an associate of pi other than the primary one gives a wrong
+        # a_p; at 43 and 103 the first quadratic non-residue is a cube
+        [((0, 0, 1, 0, -1), p) for p in (13, 43, 103)]
+        + [(q, p) for q in ((0, 0, 1, 0, -1), (0, 0, 0, -2, 0)) for p in (99901, 99961, 100057)],
+    )
+    def test_pinned_primes(self, quint, p):
+        c = curve_from_quintuple(quint)
+        assert c.disc % p and not (c.c4 and c.c6)
+        assert count_points(c, p) == count_points_legendre(c, p)
+
+    def test_no_point_arithmetic(self, monkeypatch):
+        calls = []
+        add = elliptic._point_add
+        monkeypatch.setattr(elliptic, "_point_add", lambda *args: calls.append(1) or add(*args))
+        an_expansion(curve_from_quintuple((0, 0, 0, -2, 0)), 3198)  # conductor 256
+        assert calls == []
+        an_expansion(curve_from_quintuple((0, 0, 1, -1, 0)), 300)  # 37a
+        assert calls
 
 
 class TestReduction:
@@ -429,28 +480,29 @@ class TestExpansion:
             assert f[n] == v, n
 
     def test_curve_validated_once(self, monkeypatch):
-        # the reduction cache is keyed on the Curve, so no prime re-runs
-        # curve_from_quintuple and its minimality check
+        # each prime's reduction_at gets the validated Curve, so no prime
+        # re-runs curve_from_quintuple and its minimality check
         c = curve_from_quintuple((0, 0, 0, 0, 10**30 + 57))
-        calls = []
+        calls, asked = [], []
+        reduce = elliptic.reduction_at
         monkeypatch.setattr(elliptic, "_reject_nonminimal", lambda c4, c6: calls.append(1))
-        monkeypatch.setattr(elliptic, "_cached_reduction", functools.lru_cache(
-            elliptic._cached_reduction.__wrapped__))
+        monkeypatch.setattr(elliptic, "reduction_at", lambda c, p: asked.append(p) or reduce(c, p))
         f = an_expansion(c, 300)
         assert calls == [] and f.coeffs[1] == 1
+        assert asked == primes_upto(299)
 
     @pytest.mark.parametrize("order", [2, 3, 4, 30, 1000])
     def test_each_prime_asked_once_in_order(self, monkeypatch, order):
         c = curve_from_quintuple((0, 0, 1, -1, 0))
-        cached = elliptic._cached_reduction
+        reduce = elliptic.reduction_at
         asked = []
 
         def recorder(curve, p):
             asked.append(p)
             assert curve is c
-            return cached(curve, p)
+            return reduce(curve, p)
 
-        monkeypatch.setattr(elliptic, "_cached_reduction", recorder)
+        monkeypatch.setattr(elliptic, "reduction_at", recorder)
         f = an_expansion(c, order)
         assert asked == primes_upto(order - 1)
         assert f.coeffs[1:11] == (1, -2, -3, 2, -2, 6, -1, 0, 6, 4)[: order - 1]
